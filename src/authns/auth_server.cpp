@@ -1,8 +1,5 @@
 #include "authns/auth_server.h"
 
-#include <cstring>
-#include <string_view>
-
 #include "dns/builder.h"
 #include "dns/edns.h"
 #include "dns/truncate.h"
@@ -17,16 +14,6 @@ dns::SoaRdata make_soa(const dns::DnsName& sld) {
   soa.rname = sld.child("hostmaster");
   soa.serial = 2018042601;
   return soa;
-}
-
-/// Fixed-width zero-padded decimal (precondition: v fits in `width`, which
-/// a WireTemplate match guarantees for the stamped digit runs).
-char* put_fixed(char* p, std::uint32_t v, int width) {
-  for (int i = width - 1; i >= 0; --i) {
-    p[i] = static_cast<char>('0' + v % 10);
-    v /= 10;
-  }
-  return p + width;
 }
 
 }  // namespace
@@ -89,13 +76,6 @@ AuthServer::AuthServer(net::Network& network, net::IPv4Addr addr,
     // these shapes (the fast path skips it).
     templates_ok_ = query_tpl_.ok() && answer_tpl_.ok() && nx_tpl_.ok() &&
                     answer_tpl_.size() <= 512 && nx_tpl_.size() <= 512;
-    // Learn the canonical-key layout for probe_marked(), exactly as the
-    // scanner's QnameRenderer does: "or###.#######" + an id-invariant tail.
-    const std::string canon0 = scheme_.qname({0, 0}).canonical_key();
-    constexpr std::string_view kHead = "or000.0000000";
-    canon_ok_ = canon0.size() >= kHead.size() &&
-                std::string_view(canon0).substr(0, kHead.size()) == kHead;
-    if (canon_ok_) canon_suffix_ = canon0.substr(kHead.size());
   }
   load_cluster(0, /*initial=*/true);
 }
@@ -137,21 +117,6 @@ void AuthServer::on_batch(const net::DatagramBatch& b) {
     on_datagram(net::Datagram{b.srcs[i], b.dst, b.payloads[i]});
 }
 
-std::uint64_t AuthServer::probe_flow(const dns::StampVars& v) const {
-  char buf[dns::kMaxNameLength + 32];
-  char* p = buf;
-  *p++ = 'o';
-  *p++ = 'r';
-  p = put_fixed(p, v.cluster, 3);
-  *p++ = '.';
-  p = put_fixed(p, v.index, 7);
-  std::memcpy(p, canon_suffix_.data(), canon_suffix_.size());
-  p += canon_suffix_.size();
-  return util::Fnv1a{}
-      .bytes(std::string_view(buf, static_cast<std::size_t>(p - buf)))
-      .value();
-}
-
 void AuthServer::on_datagram(const net::Datagram& d) {
   ++stats_.queries_received;
   // Probe fast path: a wire-exact in-width A query for the loaded scheme is
@@ -161,16 +126,18 @@ void AuthServer::on_datagram(const net::Datagram& d) {
   // Q2/R1 span points are recorded around the stamp, with the same
   // timestamps and peer the full path would record (no simulated time
   // passes inside a handler), so the trace is identical while the marked
-  // query still costs one stamp instead of a decode/encode round.
+  // query still costs one stamp instead of a decode/encode round — qname
+  // reuse makes the marked set cover far more queries than the 1-in-N
+  // sampling rate suggests.
   dns::StampVars v;
   if (templates_ok_ && tpl_fit_limit_ &&
       network_.loop().now() >= load_busy_until_ &&
-      query_tpl_.match(d.payload, v) && (tracer_ == nullptr || canon_ok_)) {
+      query_tpl_.match(d.payload, v)) {
     ++stats_.edns_queries;  // the matched shape always carries EDNS, DO=0
     std::uint64_t traced_flow = 0;
     bool traced = false;
     if (tracer_ != nullptr) {
-      const std::uint64_t flow = probe_flow(v);
+      const std::uint64_t flow = scheme_.flow_key({v.cluster, v.index});
       if (tracer_->marked(flow)) {
         traced_flow = flow;
         traced = true;

@@ -13,7 +13,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <string>
 
 #include "dns/codec.h"
 #include "dns/wire_template.h"
@@ -128,14 +127,6 @@ class AuthServer : private net::StreamHandler {
   void on_message(net::ConnId c, net::SimTime at,
                   const net::PayloadRef& msg) override;
   dns::Message answer(const dns::Message& query);
-  /// Flow key of a matched probe query: renders the probe's canonical qname
-  /// from the stamped vars (the template match guarantees in-width digits)
-  /// and hashes it — no decode. Marked flows record their Q2/R1 span points
-  /// from the fast path itself; diverting them to the full decode/encode
-  /// path would make the tracer pay a full codec round per marked query,
-  /// and qname reuse makes the marked set cover far more traffic than the
-  /// 1-in-N sampling rate suggests.
-  std::uint64_t probe_flow(const dns::StampVars& v) const;
 
   net::Network& network_;
   net::IPv4Addr addr_;
@@ -166,13 +157,6 @@ class AuthServer : private net::StreamHandler {
   dns::WireTemplate answer_tpl_;
   dns::WireTemplate nx_tpl_;
   bool templates_ok_ = false;
-
-  // Canonical-key renderer for probe_marked(): canonical bytes after the
-  // two numeric labels, mirroring prober::QnameRenderer. canon_ok_ is false
-  // if the scheme's canonical form ever deviates from "or###.#######..."
-  // (then a tracer disables the fast path entirely, as before).
-  std::string canon_suffix_;
-  bool canon_ok_ = false;
 };
 
 }  // namespace orp::authns

@@ -57,11 +57,8 @@ ShardContext::ShardContext(const PopulationSpec& spec,
     // Pin steady-state storage from the campaign plan: the hosts planted in
     // this shard's permutation slice bound how many R2 responses the
     // scanner and capture vantage can retain, so the record vectors and
-    // payload arena never reallocate mid-scan. (The outstanding-probe map
-    // is deliberately *not* pre-sized: its bucket evolution feeds the reap
-    // sweep's release order and through it the capture digest — see
-    // DESIGN.md.) The streaming path retains nothing, so it skips the
-    // reservations entirely.
+    // payload arena never reallocate mid-scan. The streaming path retains
+    // nothing, so it skips the reservations entirely.
     std::size_t planted = 0;
     for (const PlannedHost& h : plan.hosts)
       if (slice.contains(h.perm_index)) ++planted;

@@ -29,108 +29,15 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "net/sim_time.h"
+#include "util/u64_set.h"
 
 namespace orp::obs {
-
-/// Flat open-addressed set of 64-bit flow keys. The keys are FNV-1a
-/// digests already, so one Fibonacci multiply spreads them over a
-/// power-of-two slot array probed linearly — no per-element nodes, no
-/// malloc on the insert path once reserve() has sized the array. This is
-/// the structure behind begin_flow()/marked(): one sampled campaign does
-/// tens of thousands of inserts and a membership probe per packet at every
-/// downstream vantage, where unordered_set's node allocation and pointer
-/// chasing were the dominant tracer cost.
-///
-/// Key 0 is the empty-slot sentinel; a real zero key (a 1-in-2^64 FNV
-/// digest) is carried in a side flag rather than a slot.
-class FlowSet {
- public:
-  /// Size the slot array for `n` keys (load factor <= 7/8). Never shrinks.
-  void reserve(std::size_t n) { rehash(n); }
-
-  /// Insert `key`; returns true if it was not already present.
-  bool insert(std::uint64_t key) {
-    if (key == 0) {
-      const bool fresh = !has_zero_;
-      has_zero_ = true;
-      if (fresh) ++size_;
-      return fresh;
-    }
-    if ((size_ + 1) * 8 > slots_.size() * 7) rehash(size_ + 1);
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = slot_of(key);
-    while (slots_[i] != 0) {
-      if (slots_[i] == key) return false;
-      i = (i + 1) & mask;
-    }
-    slots_[i] = key;
-    ++size_;
-    return true;
-  }
-
-  bool contains(std::uint64_t key) const noexcept {
-    if (key == 0) return has_zero_;
-    if (slots_.empty()) return false;
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = slot_of(key);
-    while (slots_[i] != 0) {
-      if (slots_[i] == key) return true;
-      i = (i + 1) & mask;
-    }
-    return false;
-  }
-
-  std::size_t size() const noexcept { return size_; }
-
-  /// Visit every key (order unspecified — callers needing a canonical
-  /// order sort what they build from the visit).
-  template <typename F>
-  void for_each(F&& f) const {
-    if (has_zero_) f(std::uint64_t{0});
-    for (const std::uint64_t k : slots_)
-      if (k != 0) f(k);
-  }
-
-  void clear() noexcept {
-    std::fill(slots_.begin(), slots_.end(), 0);
-    size_ = 0;
-    has_zero_ = false;
-  }
-
- private:
-  std::size_t slot_of(std::uint64_t key) const noexcept {
-    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
-  }
-
-  /// Grow (never shrink) so `need` keys fit under the 7/8 load bound.
-  void rehash(std::size_t need) {
-    std::size_t cap = slots_.empty() ? 16 : slots_.size();
-    while (cap * 7 < need * 8) cap *= 2;
-    if (cap == slots_.size()) return;
-    std::vector<std::uint64_t> old = std::move(slots_);
-    slots_.assign(cap, 0);
-    shift_ = 64 - std::countr_zero(cap);
-    const std::size_t mask = cap - 1;
-    for (const std::uint64_t k : old) {
-      if (k == 0) continue;
-      std::size_t i = slot_of(k);
-      while (slots_[i] != 0) i = (i + 1) & mask;
-      slots_[i] = k;
-    }
-  }
-
-  std::vector<std::uint64_t> slots_;
-  std::size_t size_ = 0;  // distinct keys, including a real zero key
-  unsigned shift_ = 64;   // 64 - log2(slots_.size())
-  bool has_zero_ = false;
-};
 
 enum class SpanPoint : std::uint8_t {
   kQ1Sent = 0,
@@ -236,7 +143,7 @@ class FlowTracer {
  private:
   std::uint64_t sample_every_ = 0;
   std::vector<TraceRecord> records_;
-  FlowSet marked_;
+  util::U64Set marked_;
 };
 
 }  // namespace orp::obs

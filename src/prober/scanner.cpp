@@ -1,130 +1,12 @@
 #include "prober/scanner.h"
 
-#include <charconv>
-#include <cstring>
-
 #include "dns/builder.h"
-#include "dns/decode_view.h"
-#include "util/hash.h"
-#include "util/strings.h"
 
 namespace orp::prober {
 
 namespace {
 constexpr std::uint16_t kProberPort = 54321;  // fixed source port, ZMap-style
-
-/// Zero-padded decimal, widening past `min_width` when the value needs it —
-/// exactly snprintf("%0*u")'s behavior, which the zone scheme renders with.
-char* write_decimal(char* p, std::uint32_t v, int min_width) {
-  char tmp[10];
-  int n = 0;
-  do {
-    tmp[n++] = static_cast<char>('0' + v % 10);
-    v /= 10;
-  } while (v != 0);
-  for (int pad = min_width - n; pad > 0; --pad) *p++ = '0';
-  while (n > 0) *p++ = tmp[--n];
-  return p;
-}
-
-/// Fixed-width in-place digit patch (precondition: v fits in `width`).
-void patch_digits(std::uint8_t* p, std::uint32_t v, int width) {
-  for (int i = width - 1; i >= 0; --i) {
-    p[i] = static_cast<std::uint8_t>('0' + v % 10);
-    v /= 10;
-  }
-}
-
-// MurmurHash64A pieces, matching libstdc++'s std::_Hash_bytes on LP64 (the
-// function behind std::hash<string_view>). Replicated from the public
-// MurmurHash64A algorithm; prepare_hash_plan() differentially verifies the
-// replica against std::hash and disables the fast path on any mismatch, so
-// a different stdlib degrades to the render-and-hash path, never to wrong
-// bucket placement.
-constexpr std::uint64_t kMurmurMul = 0xc6a4a7935bd1e995ULL;
-constexpr std::uint64_t kMurmurSeed = 0xc70f6907ULL;
-
-std::uint64_t shift_mix(std::uint64_t v) noexcept { return v ^ (v >> 47); }
-
-std::uint64_t load64(const unsigned char* p) noexcept {
-  std::uint64_t v;
-  std::memcpy(&v, p, 8);
-  return v;
-}
-
 }  // namespace
-
-std::string_view QnameRenderer::render(std::uint64_t key,
-                                       std::span<char> buf) const noexcept {
-  char* p = buf.data();
-  *p++ = 'o';
-  *p++ = 'r';
-  p = write_decimal(p, static_cast<std::uint32_t>(key >> 32), 3);
-  *p++ = '.';
-  p = write_decimal(p, static_cast<std::uint32_t>(key), 7);
-  std::memcpy(p, suffix.data(), suffix.size());
-  p += suffix.size();
-  return {buf.data(), static_cast<std::size_t>(p - buf.data())};
-}
-
-std::size_t QnameRenderer::hash_slow(std::uint64_t key) const noexcept {
-  char buf[dns::kMaxNameLength + 32];
-  return std::hash<std::string_view>{}(render(key, buf));
-}
-
-std::size_t QnameRenderer::hash(std::uint64_t key) const noexcept {
-  const auto cluster = static_cast<std::uint32_t>(key >> 32);
-  const auto index = static_cast<std::uint32_t>(key);
-  if (!hash_fast_ok_ || cluster >= 1000 || index >= 10'000'000)
-    return hash_slow(key);
-  // Canonical bytes 0..15 are "or###.#######" + suffix[0..2]: patch the two
-  // digit runs into the prototype and run the first two Murmur chunks for
-  // real; everything after byte 16 is id-invariant and folds as constants.
-  unsigned char buf[16];
-  std::memcpy(buf, hash_proto_, 16);
-  patch_digits(buf + 2, cluster, 3);
-  patch_digits(buf + 6, index, 7);
-  std::uint64_t h = hash_h0_;
-  h = (h ^ (shift_mix(load64(buf) * kMurmurMul) * kMurmurMul)) * kMurmurMul;
-  h = (h ^ (shift_mix(load64(buf + 8) * kMurmurMul) * kMurmurMul)) * kMurmurMul;
-  for (const std::uint64_t fold : hash_folds_) h = (h ^ fold) * kMurmurMul;
-  if (hash_has_tail_) h = (h ^ hash_tail_) * kMurmurMul;
-  return shift_mix(shift_mix(h) * kMurmurMul);
-}
-
-void QnameRenderer::prepare_hash_plan() {
-  hash_fast_ok_ = false;
-  hash_folds_.clear();
-  const std::size_t len = 13 + suffix.size();  // "or###.#######" + suffix
-  if (suffix.size() < 3 || len > dns::kMaxNameLength + 32) return;
-  char canon[dns::kMaxNameLength + 32];
-  const std::string_view c0 = render(0, canon);
-  if (c0.size() != len) return;
-  std::memcpy(hash_proto_, c0.data(), 16);
-  hash_h0_ = kMurmurSeed ^ (len * kMurmurMul);
-  const auto* bytes = reinterpret_cast<const unsigned char*>(c0.data());
-  std::size_t off = 16;
-  for (; off + 8 <= len; off += 8)
-    hash_folds_.push_back(shift_mix(load64(bytes + off) * kMurmurMul) *
-                          kMurmurMul);
-  hash_has_tail_ = off < len;
-  hash_tail_ = 0;
-  for (std::size_t i = len; i > off; --i)
-    hash_tail_ = (hash_tail_ << 8) + bytes[i - 1];
-  // Differential check: the fast path must reproduce std::hash exactly for
-  // ids across both digit widths, or the bucket layout (and through reap
-  // order, the capture digest) would silently change.
-  hash_fast_ok_ = true;
-  constexpr std::uint64_t kProbeIds[] = {
-      0, 1, (1ULL << 32) | 1, (999ULL << 32) | 9'999'999,
-      (123ULL << 32) | 4'567'890};
-  for (const std::uint64_t id : kProbeIds) {
-    if (hash(id) != hash_slow(id)) {
-      hash_fast_ok_ = false;
-      return;
-    }
-  }
-}
 
 Scanner::Scanner(net::Network& network, net::IPv4Addr prober_addr,
                  ScanConfig config, zone::SubdomainScheme scheme,
@@ -135,8 +17,7 @@ Scanner::Scanner(net::Network& network, net::IPv4Addr prober_addr,
       codec_scratch_(codec_scratch != nullptr ? *codec_scratch : own_scratch_),
       clusters_(std::move(scheme), config.rotate_pause),
       permutation_(config.seed),
-      limiter_(config.rate_pps, config.batch_size * 4),
-      outstanding_(QnameKeyHash{&renderer_}) {
+      limiter_(config.rate_pps, config.batch_size * 4) {
   if (config_.first_index != 0) permutation_.seek(config_.first_index);
   network_.bind_batch(
       net::Endpoint{addr_, kProberPort},
@@ -144,7 +25,7 @@ Scanner::Scanner(net::Network& network, net::IPv4Addr prober_addr,
       [this](const net::DatagramBatch& b) { on_batch(b); });
 
   // Learn the probe template (verified byte-identical to the encoder by
-  // derive itself) and the canonical-key renderer from the id (0, 0) probe.
+  // derive itself).
   if (config_.wire_templates) {
     probe_tpl_ = dns::WireTemplate::derive(
         [this](const dns::StampVars& v) {
@@ -154,14 +35,6 @@ Scanner::Scanner(net::Network& network, net::IPv4Addr prober_addr,
         },
         codec_scratch_);
   }
-
-  const std::string canon0 = clusters_.scheme().qname({0, 0}).canonical_key();
-  constexpr std::string_view kHead = "or000.0000000";
-  const bool canon_ok =
-      canon0.size() >= kHead.size() &&
-      std::string_view(canon0).substr(0, kHead.size()) == kHead;
-  renderer_.suffix = canon_ok ? canon0.substr(kHead.size()) : canon0;
-  if (canon_ok) renderer_.prepare_hash_plan();
 
   pending_off_.reserve(config_.batch_size);
   pending_len_.reserve(config_.batch_size);
@@ -246,7 +119,7 @@ void Scanner::send_one_probe(net::IPv4Addr target) {
   const zone::SubdomainId id = clusters_.acquire();
   const std::uint16_t txn = next_txn_++;
   if (next_txn_ == 0) next_txn_ = 1;
-  outstanding_.emplace(pack(id), network_.loop().now());
+  outstanding_.push(pack(id), network_.loop().now());
   peak_outstanding_ =
       std::max<std::uint64_t>(peak_outstanding_, outstanding_.size());
   ++stats_.q1_sent;
@@ -259,13 +132,9 @@ void Scanner::send_one_probe(net::IPv4Addr target) {
     // no probe) and the cursor re-arms at the next multiple.
     const std::uint64_t index = config_.first_index + raw_consumed_ - 1;
     if (index >= next_trace_index_) {
-      if (tracer_->sample(index)) {
-        char key_buf[dns::kMaxNameLength + 32];
-        const std::uint64_t flow =
-            util::Fnv1a{}.bytes(renderer_.render(pack(id), key_buf)).value();
-        tracer_->begin_flow(flow, index, network_.loop().now(),
-                            target.value());
-      }
+      if (tracer_->sample(index))
+        tracer_->begin_flow(clusters_.scheme().flow_key(id), index,
+                            network_.loop().now(), target.value());
       const std::uint64_t every = tracer_->sample_every();
       next_trace_index_ = index - index % every + every;
     }
@@ -312,32 +181,23 @@ void Scanner::on_batch(const net::DatagramBatch& b) {
     on_datagram(net::Datagram{b.srcs[i], b.dst, b.payloads[i]});
 }
 
-bool Scanner::match_key(std::string_view key, std::uint64_t& packed) const {
-  if (key.size() < 4 || key[0] != 'o' || key[1] != 'r') return false;
-  const std::size_t dot = key.find('.', 2);
-  if (dot == std::string_view::npos || dot == 2) return false;
-  const std::string_view suffix = renderer_.suffix;
-  if (key.size() < dot + 2 + suffix.size()) return false;
-  if (key.substr(key.size() - suffix.size()) != suffix) return false;
-  const std::string_view cluster_str = key.substr(2, dot - 2);
-  const std::string_view index_str =
-      key.substr(dot + 1, key.size() - suffix.size() - (dot + 1));
-  if (index_str.empty() || !util::all_digits(cluster_str) ||
-      !util::all_digits(index_str))
-    return false;
-  std::uint32_t cluster = 0;
-  std::uint32_t index = 0;
-  const auto cr = std::from_chars(
-      cluster_str.data(), cluster_str.data() + cluster_str.size(), cluster);
-  const auto ir = std::from_chars(
-      index_str.data(), index_str.data() + index_str.size(), index);
-  if (cr.ec != std::errc{} || ir.ec != std::errc{}) return false;
-  packed = pack(zone::SubdomainId{cluster, index});
-  // Strict: the send path inserts exactly the canonical render of each id,
-  // so anything that does not round-trip (wrong zero padding, overlong
-  // digits) cannot be in the map — same verdict string equality gave.
-  char buf[dns::kMaxNameLength + 32];
-  return renderer_.render(packed, buf) == key;
+Scanner::R2Match Scanner::match_r2(const dns::DecodeView& v,
+                                   net::IPv4Addr from) {
+  char key_buf[dns::kMaxNameLength];
+  const std::string_view key = v.qname.canonical_key_into(key_buf);
+  const std::optional<zone::SubdomainId> id = clusters_.scheme().parse_key(key);
+  if (!id) return {};
+  R2Match m{pack(*id), true, outstanding_.answer(pack(*id))};
+  if (!m.answered) return m;
+  ++stats_.r2_matched;
+  if (tracer_ != nullptr) {
+    const std::uint64_t flow = clusters_.scheme().flow_key(*id);
+    if (tracer_->marked(flow))
+      tracer_->record(flow, obs::SpanPoint::kR2Received,
+                      network_.loop().now(), from.value());
+  }
+  clusters_.retire_answered(*id);
+  return m;
 }
 
 void Scanner::on_datagram(const net::Datagram& d) {
@@ -351,10 +211,7 @@ void Scanner::on_datagram(const net::Datagram& d) {
   ++stats_.r2_received;
   if (beacon_ != nullptr)
     beacon_->responses.store(stats_.r2_received, std::memory_order_relaxed);
-  if (retain_responses_)
-    responses_.add(network_.loop().now(), d.src.addr, d.payload);
-  if (r2_sink_ != nullptr)
-    r2_sink_->on_r2(network_.loop().now(), d.src.addr, d.payload);
+  classify(d.src.addr, d.payload);
 
   // Group the flow by qname (§III-B): the DNS ID field is too narrow at
   // 100k pps, so the question name is the flow key. A DecodeView is a full
@@ -363,25 +220,7 @@ void Scanner::on_datagram(const net::Datagram& d) {
   // materializing the message.
   const dns::DecodeView v = dns::DecodeView::parse(d.payload);
   if (v.complete() && v.questions_parsed > 0) {
-    char key_buf[dns::kMaxNameLength];
-    const std::string_view key = v.qname.canonical_key_into(key_buf);
-    std::uint64_t packed = 0;
-    constexpr std::uint32_t kNil = OutstandingTable<QnameKeyHash>::kNil;
-    const std::uint32_t node =
-        match_key(key, packed) ? outstanding_.find(packed) : kNil;
-    if (node != kNil) {
-      ++stats_.r2_matched;
-      if (tracer_ != nullptr) {
-        const std::uint64_t flow = util::Fnv1a{}.bytes(key).value();
-        if (tracer_->marked(flow))
-          tracer_->record(flow, obs::SpanPoint::kR2Received,
-                          network_.loop().now(), d.src.addr.value());
-      }
-      clusters_.retire_answered(unpack(packed));
-      outstanding_.erase_at(node);
-    } else {
-      ++stats_.r2_unmatched;
-    }
+    if (!match_r2(v, d.src.addr).answered) ++stats_.r2_unmatched;
     return;
   }
   if (v.complete()) {
@@ -400,33 +239,19 @@ void Scanner::on_datagram_fallback(const net::Datagram& d) {
 
   const dns::DecodeView v = dns::DecodeView::parse(d.payload);
   if (v.complete() && v.questions_parsed > 0) {
-    char key_buf[dns::kMaxNameLength];
-    const std::string_view key = v.qname.canonical_key_into(key_buf);
-    std::uint64_t packed = 0;
-    constexpr std::uint32_t kNil = OutstandingTable<QnameKeyHash>::kNil;
-    const bool ours = match_key(key, packed);
-    const std::uint32_t node = ours ? outstanding_.find(packed) : kNil;
-    if (node != kNil) {
-      ++stats_.r2_matched;
-      if (tracer_ != nullptr) {
-        const std::uint64_t flow = util::Fnv1a{}.bytes(key).value();
-        if (tracer_->marked(flow))
-          tracer_->record(flow, obs::SpanPoint::kR2Received,
-                          network_.loop().now(), d.src.addr.value());
-      }
-      // The answered subdomain retires either way — the flow *was*
-      // answered; what is still open is which payload gets classified.
-      clusters_.retire_answered(unpack(packed));
-      outstanding_.erase_at(node);
+    // An answered subdomain retires either way — the flow *was* answered;
+    // what is still open is which payload gets classified.
+    const R2Match m = match_r2(v, d.src.addr);
+    if (m.answered) {
       if (v.header.flags.tc) {
         ++stats_.tc_seen;
-        start_tcp_retry(packed, d.src.addr, d.payload);
+        start_tcp_retry(m.packed, d.src.addr, d.payload);
         return;  // classification deferred until the retry settles
       }
       classify(d.src.addr, d.payload);
       return;
     }
-    if (ours && find_retry_by_key(packed) != kNilSlot) {
+    if (m.ours && find_retry_by_key(m.packed) != kNilSlot) {
       // A UDP answer racing the TCP retry (the resolver answered twice,
       // e.g. full answer after the truncated one): counted, never
       // classified — the retry owns this flow's single classification.
@@ -452,11 +277,6 @@ void Scanner::classify(net::IPv4Addr from,
     responses_.add(network_.loop().now(), from, payload);
   if (r2_sink_ != nullptr)
     r2_sink_->on_r2(network_.loop().now(), from, payload);
-}
-
-std::uint64_t Scanner::flow_of(std::uint64_t packed) const noexcept {
-  char key_buf[dns::kMaxNameLength + 32];
-  return util::Fnv1a{}.bytes(renderer_.render(packed, key_buf)).value();
 }
 
 std::uint32_t Scanner::find_retry(net::ConnId c) const noexcept {
@@ -489,7 +309,7 @@ void Scanner::start_tcp_retry(std::uint64_t packed, net::IPv4Addr target,
   ++retries_active_;
   ++stats_.tcp_retries;
   if (tracer_ != nullptr) {
-    const std::uint64_t flow = flow_of(packed);
+    const std::uint64_t flow = clusters_.scheme().flow_key(unpack(packed));
     if (tracer_->marked(flow))
       tracer_->record(flow, obs::SpanPoint::kTcpRetry, network_.loop().now(),
                       target.value());
@@ -531,7 +351,7 @@ void Scanner::on_message(net::ConnId c, net::SimTime /*at*/,
   TcpRetry& r = retries_[slot];
   ++stats_.tcp_answers;
   if (tracer_ != nullptr) {
-    const std::uint64_t flow = flow_of(r.packed);
+    const std::uint64_t flow = clusters_.scheme().flow_key(unpack(r.packed));
     if (tracer_->marked(flow))
       tracer_->record(flow, obs::SpanPoint::kTcpAnswer, network_.loop().now(),
                       r.target.value());
@@ -580,20 +400,16 @@ void Scanner::finish_retry(std::uint32_t slot) {
 }
 
 void Scanner::reap(bool final_sweep) {
+  // Sent times are non-decreasing along the ring and the timeout is one
+  // constant, so the expired probes are exactly a prefix of it (the final
+  // sweep, one window after the last send, takes everything).
   const net::SimTime now = network_.loop().now();
-  constexpr std::uint32_t kNil = OutstandingTable<QnameKeyHash>::kNil;
-  for (std::uint32_t it = outstanding_.first(); it != kNil;) {
-    const std::uint32_t ahead = outstanding_.next(it);
-    if (ahead != kNil) outstanding_.prefetch(ahead);
-    if (final_sweep || now - outstanding_.sent_at(it) >= config_.response_timeout) {
-      if (config_.subdomain_reuse)
-        clusters_.release_unanswered(unpack(outstanding_.key_at(it)));
-      it = outstanding_.erase_at(it);
-      ++stats_.timeouts_reaped;
-    } else {
-      it = outstanding_.next(it);
-    }
-  }
+  outstanding_.reap(final_sweep ? now : now - config_.response_timeout,
+                    [this](std::uint64_t packed) {
+                      if (config_.subdomain_reuse)
+                        clusters_.release_unanswered(unpack(packed));
+                      ++stats_.timeouts_reaped;
+                    });
   if (final_sweep) final_swept_ = true;
   if (!sending_done_) {
     network_.loop().schedule_in(config_.reap_interval,

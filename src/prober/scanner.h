@@ -11,11 +11,10 @@
 #include <functional>
 #include <span>
 #include <utility>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "dns/codec.h"
+#include "dns/decode_view.h"
 #include "dns/wire_template.h"
 #include "net/capture.h"
 #include "net/reserved.h"
@@ -23,7 +22,7 @@
 #include "net/transport.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
-#include "prober/outstanding_table.h"
+#include "prober/outstanding_ring.h"
 #include "prober/permutation.h"
 #include "prober/r2_sink.h"
 #include "prober/r2_store.h"
@@ -31,49 +30,6 @@
 #include "zone/cluster.h"
 
 namespace orp::prober {
-
-/// Renders the canonical key ("or012.0034567.<sld>", lowercased, no
-/// trailing dot) of a packed SubdomainId into caller storage, byte-for-byte
-/// identical to `scheme.qname(id).canonical_key()` — without constructing
-/// the DnsName. The scanner's outstanding-probe map hashes through this, so
-/// a 64-bit id key reproduces the exact hash sequence (and therefore bucket
-/// layout and iteration order) of the string-keyed map it replaced.
-struct QnameRenderer {
-  std::string suffix;  // canonical bytes after the two numeric labels
-  std::string_view render(std::uint64_t key, std::span<char> buf) const noexcept;
-
-  /// The exact value std::hash<string_view> gives for render(key) — the
-  /// bucket-placement hash of the outstanding-probe map. For in-width ids
-  /// the value is produced without rendering: only the first 16 canonical
-  /// bytes vary per id (two digit runs patched into `hash_proto_`), so the
-  /// remaining 8-byte chunks and the tail are folded as precomputed
-  /// constants and the per-key cost is two full chunk mixes. The plan is
-  /// differentially verified against std::hash at prepare time; any
-  /// mismatch (exotic stdlib, short suffix) falls back to render-and-hash.
-  std::size_t hash(std::uint64_t key) const noexcept;
-
-  /// Build + verify the fast-hash plan; call after `suffix` is set.
-  void prepare_hash_plan();
-
- private:
-  std::size_t hash_slow(std::uint64_t key) const noexcept;
-
-  unsigned char hash_proto_[16] = {};       // canonical bytes 0..15 of id 0
-  std::vector<std::uint64_t> hash_folds_;   // chunks 16.. pre-mixed
-  std::uint64_t hash_tail_ = 0;             // packed trailing len%8 bytes
-  std::uint64_t hash_h0_ = 0;               // seed ^ (len * m)
-  bool hash_has_tail_ = false;
-  bool hash_fast_ok_ = false;
-};
-
-/// std::hash<std::string_view> over the rendered canonical key: the same
-/// value util::TransparentStringHash produced for the string-keyed map.
-struct QnameKeyHash {
-  const QnameRenderer* renderer = nullptr;
-  std::size_t operator()(std::uint64_t key) const noexcept {
-    return renderer->hash(key);
-  }
-};
 
 struct ScanConfig {
   std::uint64_t seed = 2018;
@@ -217,9 +173,10 @@ class Scanner : private net::StreamHandler {
   const R2Store& responses() const noexcept { return responses_; }
   const zone::ClusterManager& clusters() const noexcept { return clusters_; }
   const RateLimiter& limiter() const noexcept { return limiter_; }
-  /// High-water mark of the outstanding-probe table (Table II's in-flight
+  /// High-water mark of the unanswered-probe count (Table II's in-flight
   /// window, surfaced for the metrics layer).
   std::uint64_t peak_outstanding() const noexcept { return peak_outstanding_; }
+  const OutstandingRing& outstanding() const noexcept { return outstanding_; }
   net::IPv4Addr address() const noexcept { return addr_; }
 
   /// Release response storage once analysis has consumed it.
@@ -235,12 +192,21 @@ class Scanner : private net::StreamHandler {
   void flush_pending();
   void on_datagram(const net::Datagram& d);
   void on_batch(const net::DatagramBatch& b);
-  /// Strict probe-key recognition: parse `key` (a response's canonical
-  /// qname) into a packed SubdomainId and require that re-rendering it
-  /// reproduces `key` exactly. Accepts precisely the set of keys the send
-  /// path can have inserted — the same strings the old string-keyed map
-  /// matched by equality.
-  bool match_key(std::string_view key, std::uint64_t& packed) const;
+  /// Hand one response to retention + the streaming sink — the single
+  /// classification point of a flow (in fallback mode, once its TCP retry
+  /// has settled).
+  void classify(net::IPv4Addr from, std::span<const std::uint8_t> payload);
+  /// Outcome of grouping one response to its probe by qname (§III-B).
+  struct R2Match {
+    std::uint64_t packed = 0;  // the parsed probe id, when `ours`
+    bool ours = false;         // the qname is one of our probe keys
+    bool answered = false;     // ...whose probe was still outstanding
+  };
+  /// The match step both receive paths share: parse the question of a
+  /// complete response `v` as a probe key and, if its probe is still
+  /// outstanding, answer it — count the match, record the kR2Received span
+  /// and retire the subdomain.
+  R2Match match_r2(const dns::DecodeView& v, net::IPv4Addr from);
   void reap(bool final_sweep);
   void maybe_finish();
 
@@ -249,9 +215,6 @@ class Scanner : private net::StreamHandler {
   /// payload and opens a TCP retry instead of classifying; everything else
   /// behaves exactly like the default path.
   void on_datagram_fallback(const net::Datagram& d);
-  /// Hand one settled response to retention + the streaming sink — the
-  /// single classification point of a flow in fallback mode.
-  void classify(net::IPv4Addr from, std::span<const std::uint8_t> payload);
   void start_tcp_retry(std::uint64_t packed, net::IPv4Addr target,
                        const net::PayloadRef& held);
   void tcp_retry_failed(std::uint32_t slot);
@@ -259,7 +222,6 @@ class Scanner : private net::StreamHandler {
   void on_tcp_timeout(std::uint32_t slot, std::uint32_t gen);
   std::uint32_t find_retry(net::ConnId c) const noexcept;
   std::uint32_t find_retry_by_key(std::uint64_t packed) const noexcept;
-  std::uint64_t flow_of(std::uint64_t packed) const noexcept;
   // StreamHandler (client side of the retries).
   void on_established(net::ConnId c) override;
   void on_message(net::ConnId c, net::SimTime at,
@@ -285,13 +247,10 @@ class Scanner : private net::StreamHandler {
   RotateCallback on_rotate_;
   DoneCallback done_;
 
-  // Packed-id keys hashed through the canonical-key renderer, stored in the
-  // slab-backed replica of libstdc++'s hashtable (see outstanding_table.h):
-  // same hash values, same bucket evolution, same iteration order as the
-  // std::unordered_map it replaced — the reap sweep's release order feeds
-  // subdomain reuse and through it the Q1 qname stream and capture digest.
-  QnameRenderer renderer_;
-  OutstandingTable<QnameKeyHash> outstanding_;
+  // Packed ids of sent probes in send order; the reap sweep pops expired
+  // ones off the head, so unanswered subdomains are released for reuse in
+  // send order (see outstanding_ring.h).
+  OutstandingRing outstanding_;
 
   // Pre-encoded probe template: per probe only the transaction id and the
   // two fixed-width digit runs are patched. Ids outside the template's

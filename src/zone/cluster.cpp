@@ -2,8 +2,10 @@
 
 #include <charconv>
 #include <cstdio>
+#include <cstring>
 
 #include "net/reserved.h"
+#include "util/hash.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -31,11 +33,29 @@ std::optional<SubdomainId> parse_probe_name(const Name& qname,
   return id;
 }
 
+/// Zero-padded decimal, widening past `min_width` when the value needs it —
+/// exactly snprintf("%0*u")'s behavior, which qname() renders with.
+char* write_decimal(char* p, std::uint32_t v, int min_width) {
+  char tmp[10];
+  int n = 0;
+  do {
+    tmp[n++] = static_cast<char>('0' + v % 10);
+    v /= 10;
+  } while (v != 0);
+  for (int pad = min_width - n; pad > 0; --pad) *p++ = '0';
+  while (n > 0) *p++ = tmp[--n];
+  return p;
+}
+
 }  // namespace
 
 SubdomainScheme::SubdomainScheme(dns::DnsName sld, std::uint32_t cluster_size,
                                  std::uint64_t seed)
-    : sld_(std::move(sld)), cluster_size_(cluster_size), seed_(seed) {}
+    : sld_(std::move(sld)), cluster_size_(cluster_size), seed_(seed) {
+  // qname() always renders the "or000.0000000" head for id (0, 0); what
+  // follows it is the same for every id.
+  key_suffix_ = qname({0, 0}).canonical_key().substr(13);
+}
 
 dns::DnsName SubdomainScheme::qname(SubdomainId id) const {
   // Both labels rendered into stack buffers; prefixed() builds the final
@@ -48,6 +68,39 @@ dns::DnsName SubdomainScheme::qname(SubdomainId id) const {
                                id.index);
   return sld_.prefixed({std::string_view(cluster_label, cn),
                         std::string_view(index_label, in)});
+}
+
+std::string_view SubdomainScheme::canonical_key(
+    SubdomainId id, std::span<char, kKeyCapacity> buf) const noexcept {
+  char* p = buf.data();
+  *p++ = 'o';
+  *p++ = 'r';
+  p = write_decimal(p, id.cluster, 3);
+  *p++ = '.';
+  p = write_decimal(p, id.index, 7);
+  std::memcpy(p, key_suffix_.data(), key_suffix_.size());
+  p += key_suffix_.size();
+  return {buf.data(), static_cast<std::size_t>(p - buf.data())};
+}
+
+std::uint64_t SubdomainScheme::flow_key(SubdomainId id) const noexcept {
+  char buf[kKeyCapacity];
+  return util::Fnv1a{}.bytes(canonical_key(id, buf)).value();
+}
+
+std::optional<SubdomainId> SubdomainScheme::parse_key(
+    std::string_view key) const {
+  if (!key.starts_with("or")) return std::nullopt;
+  const char* const end = key.data() + key.size();
+  SubdomainId id;
+  const auto [dot, cerr] = std::from_chars(key.data() + 2, end, id.cluster);
+  if (cerr != std::errc{} || dot == end || *dot != '.') return std::nullopt;
+  if (std::from_chars(dot + 1, end, id.index).ec != std::errc{})
+    return std::nullopt;
+  // The digit runs parsed; re-rendering settles padding and the suffix.
+  char buf[kKeyCapacity];
+  if (canonical_key(id, buf) != key) return std::nullopt;
+  return id;
 }
 
 std::optional<SubdomainId> SubdomainScheme::parse(

@@ -9,9 +9,12 @@
 // from a theoretical ~800 to ~4.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "dns/decode_view.h"
 #include "dns/name.h"
@@ -47,6 +50,25 @@ class SubdomainScheme {
   /// "or012.0034567.<sld>"
   dns::DnsName qname(SubdomainId id) const;
 
+  /// Storage canonical_key() renders into: two numeric labels at full
+  /// 10-digit width plus the canonical sld.
+  static constexpr std::size_t kKeyCapacity = dns::kMaxNameLength + 32;
+
+  /// The canonical key of qname(id) ("or012.0034567.<sld>", lowercased, no
+  /// trailing dot), byte-for-byte qname(id).canonical_key() without
+  /// building the name. The scanner groups R2s by it (§III-B).
+  std::string_view canonical_key(
+      SubdomainId id, std::span<char, kKeyCapacity> buf) const noexcept;
+
+  /// The probe's flow key: FNV-1a of canonical_key(id). The scanner marks
+  /// sampled flows with it and the auth server's fast path looks them up.
+  std::uint64_t flow_key(SubdomainId id) const noexcept;
+
+  /// Strict inverse of canonical_key(): the id whose canonical key is
+  /// exactly `key`, or nullopt. Anything that does not round-trip (wrong
+  /// zero padding, overlong digits, another sld) is not a probe key.
+  std::optional<SubdomainId> parse_key(std::string_view key) const;
+
   /// Parse a probe qname back to its id; nullopt if not one of ours.
   std::optional<SubdomainId> parse(const dns::DnsName& qname) const;
 
@@ -60,6 +82,7 @@ class SubdomainScheme {
 
  private:
   dns::DnsName sld_;
+  std::string key_suffix_;  // canonical bytes after "or###.#######"
   std::uint32_t cluster_size_;
   std::uint64_t seed_;
 };

@@ -9,6 +9,11 @@
 #include "core/reconcile.h"
 
 namespace orp::core {
+
+// gtest prints a pointer parameter as its address, which ASLR moves from run
+// to run; print the year so the discovered test names are stable.
+void PrintTo(const PaperYear* y, std::ostream* os) { *os << y->year; }
+
 namespace {
 
 // ---- Paper data self-consistency ----------------------------------------------------

@@ -114,6 +114,10 @@ struct ReservedCase {
   const char* outside;
 };
 
+// Print the member address rather than gtest's byte dump of the two string
+// pointers, which would name the test differently on every run.
+void PrintTo(const ReservedCase& c, std::ostream* os) { *os << c.member; }
+
 class ReservedMembership : public ::testing::TestWithParam<ReservedCase> {};
 
 TEST_P(ReservedMembership, MemberInOutsideOut) {

@@ -1,15 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <tuple>
 #include <unordered_set>
+#include <vector>
 
 #include "dns/codec.h"
 
 #include "authns/auth_server.h"
+#include "prober/outstanding_ring.h"
 #include "prober/permutation.h"
 #include "prober/rate_limiter.h"
 #include "prober/scanner.h"
 #include "resolver/scripted_resolver.h"
+#include "util/u64_set.h"
 
 namespace orp::prober {
 namespace {
@@ -175,6 +179,95 @@ TEST(RateLimiter, RejectsNonPositiveRate) {
   EXPECT_THROW(RateLimiter(0.0), std::invalid_argument);
 }
 
+// ---- Outstanding ring and its live-id set ----------------------------------
+
+std::vector<std::uint64_t> reap_ids(OutstandingRing& ring, net::SimTime cutoff) {
+  std::vector<std::uint64_t> out;
+  ring.reap(cutoff, [&](std::uint64_t id) { out.push_back(id); });
+  return out;
+}
+
+TEST(OutstandingRing, GrowsAcrossWrapAroundAndReapsInSendOrder) {
+  OutstandingRing ring;
+  const auto push_range = [&](std::uint64_t from, std::uint64_t to) {
+    for (std::uint64_t id = from; id < to; ++id)
+      ring.push(id, net::SimTime::millis(static_cast<std::int64_t>(id)));
+  };
+  const auto range = [](std::uint64_t from, std::uint64_t to) {
+    std::vector<std::uint64_t> ids;
+    for (std::uint64_t id = from; id < to; ++id) ids.push_back(id);
+    return ids;
+  };
+  // Advance the head, then push past the 16-entry start capacity while the
+  // live span wraps the end of the array: growth must unwrap it in order.
+  push_range(0, 12);
+  EXPECT_EQ(reap_ids(ring, net::SimTime::millis(9)), range(0, 10));
+  push_range(12, 60);
+  EXPECT_EQ(ring.size(), 50u);
+  // The cutoff is inclusive and stops at the first younger entry.
+  EXPECT_EQ(reap_ids(ring, net::SimTime::millis(30)), range(10, 31));
+  EXPECT_EQ(reap_ids(ring, net::SimTime::millis(59)), range(31, 60));
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(OutstandingRing, ReapSkipsAnsweredEntriesAndAnswersCountOnce) {
+  OutstandingRing ring;
+  EXPECT_FALSE(ring.answer(0));  // empty ring
+  for (std::uint64_t id : {5u, 0u, 9u, 3u, 7u})  // id 0 is subdomain (0, 0)
+    ring.push(id, net::SimTime::millis(1));
+  EXPECT_FALSE(ring.answer(4));   // never sent
+  EXPECT_TRUE(ring.answer(0));
+  EXPECT_FALSE(ring.answer(0));   // a duplicate response
+  EXPECT_TRUE(ring.answer(3));
+  EXPECT_EQ(ring.size(), 3u);     // unanswered
+  EXPECT_EQ(reap_ids(ring, net::SimTime::millis(1)),
+            (std::vector<std::uint64_t>{5, 9, 7}));
+  EXPECT_TRUE(ring.empty());
+  EXPECT_FALSE(ring.answer(9));   // a late response after the sweep
+  // Answered entries stay in the ring until a sweep pops them.
+  ring.push(11, net::SimTime::millis(2));
+  EXPECT_TRUE(ring.answer(11));
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_FALSE(ring.empty());
+  EXPECT_TRUE(reap_ids(ring, net::SimTime::millis(2)).empty());
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(U64Set, EraseFromTheMiddleOfAProbeRunKeepsTheRunReachable) {
+  // Six keys sharing one home slot of the 16-slot table form a single
+  // linear-probe run; erasing inside it must shift the tail back.
+  util::U64Set set;
+  set.reserve(8);
+  const auto home = [](std::uint64_t k) { return (k * 0x9E3779B97F4A7C15ull) >> 60; };
+  std::vector<std::uint64_t> run;
+  for (std::uint64_t k = 1; run.size() < 6; ++k)
+    if (home(k) == home(1)) run.push_back(k);
+  for (const std::uint64_t k : run) EXPECT_TRUE(set.insert(k));
+  EXPECT_TRUE(set.erase(run[2]));
+  EXPECT_FALSE(set.erase(run[2]));
+  for (std::size_t i = 0; i < run.size(); ++i)
+    EXPECT_EQ(set.contains(run[i]), i != 2) << i;
+  EXPECT_EQ(set.size(), 5u);
+
+  // Random churn against a reference set over a small key range (zero
+  // included), so runs keep forming, wrapping and shrinking.
+  set.clear();
+  std::unordered_set<std::uint64_t> ref;
+  std::uint64_t rng = 11;
+  for (int step = 0; step < 20000; ++step) {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    const std::uint64_t k = (rng >> 33) % 48;
+    if ((rng >> 20) % 2 == 0) {
+      ASSERT_EQ(set.insert(k), ref.insert(k).second) << step;
+    } else {
+      ASSERT_EQ(set.erase(k), ref.erase(k) == 1) << step;
+    }
+    ASSERT_EQ(set.size(), ref.size()) << step;
+  }
+  for (std::uint64_t k = 0; k < 48; ++k)
+    EXPECT_EQ(set.contains(k), ref.count(k) == 1) << k;
+}
+
 // ---- Scanner over a tiny handcrafted internet --------------------------------------
 
 class ScannerFixture : public ::testing::Test {
@@ -228,26 +321,7 @@ class ScannerFixture : public ::testing::Test {
 };
 
 // The scanner's patched-template fast path must emit wire bytes identical
-// to the full make_query/encode path for every probe, and the canonical-key
-// renderer must reproduce DnsName::canonical_key() exactly — including at
-// the template's width boundaries (cluster 999 -> 1000, index overflow),
-// where snprintf("%03u") grows naturally.
-TEST_F(ScannerFixture, RenderedKeyMatchesCanonicalAcrossWidthBoundary) {
-  const std::string canon0 = scheme.qname(zone::SubdomainId{0, 0}).canonical_key();
-  QnameRenderer renderer;
-  renderer.suffix = canon0.substr(13);  // past "or000.0000000"
-  const zone::SubdomainId ids[] = {
-      {0, 0},      {12, 34567},     {999, 0},  {999, 9999999},
-      {1000, 0},   {1000, 9999999}, {1500, 7}, {999, 10000000},
-  };
-  for (const zone::SubdomainId id : ids) {
-    char buf[dns::kMaxNameLength + 32];
-    const std::uint64_t packed = (std::uint64_t{id.cluster} << 32) | id.index;
-    EXPECT_EQ(renderer.render(packed, buf), scheme.qname(id).canonical_key())
-        << id.cluster << "/" << id.index;
-  }
-}
-
+// to the full make_query/encode path for every probe.
 TEST_F(ScannerFixture, ProbeWireMatchesFullEncodePath) {
   resolver::BehaviorProfile honest;
   honest.answer = resolver::AnswerMode::kRecursive;
@@ -561,6 +635,73 @@ TEST_F(ScannerFixture, FallbackScanIsDeterministic) {
     return std::tuple{s.stats().tcp_answers, l2.now().as_seconds(), bytes};
   };
   EXPECT_EQ(run_once(9), run_once(9));
+}
+
+TEST_F(ScannerFixture, ReusedSubdomainsComeBackInReverseSendOrder) {
+  // Nothing answers, so every probe times out. Each sweep releases the
+  // expired probes in send order onto the LIFO reuse pool, which makes the
+  // pool sorted by last send; between two sweeps, reused ids therefore
+  // come back newest first.
+  ScanConfig cfg = scan_config(1, 5000);
+  cfg.rate_pps = 20;
+  Scanner scanner(net, net::IPv4Addr(132, 170, 3, 44), cfg, scheme);
+  scanner.set_rotate_callback([&](std::uint32_t c) { auth.load_cluster(c); });
+  const std::int64_t sweep = cfg.reap_interval.as_nanos();
+  std::map<zone::SubdomainId, std::uint64_t> last_seq;  // id -> last Q1 #
+  std::uint64_t seq = 0, pairs = 0, ascents = 0;
+  std::int64_t prev_at = 0;     // send time of the previous reuse...
+  std::uint64_t prev_from = 0;  // ...and the Q1 # whose id it reused
+  net.add_tap([&](net::SimTime at, const net::Datagram& d) {
+    if (d.src.addr != scanner.address()) return;
+    const auto id = scheme.parse(dns::DecodeView::parse(d.payload).qname);
+    ASSERT_TRUE(id.has_value());
+    const auto [it, fresh] = last_seq.try_emplace(*id, seq++);
+    if (fresh) return;
+    // Compare reuses strictly inside one inter-sweep window (a send at the
+    // sweep's own instant could fall on either side of it).
+    const std::int64_t t = at.as_nanos();
+    if (t % sweep != 0 && prev_at % sweep != 0 && t / sweep == prev_at / sweep) {
+      ++pairs;
+      if (prev_from < it->second) ++ascents;
+    }
+    prev_at = t;
+    prev_from = it->second;
+    it->second = seq - 1;
+  });
+  scanner.start([] {});
+  loop.run();
+  ASSERT_EQ(seq, scanner.stats().q1_sent);
+  EXPECT_GT(pairs, 1000u);
+  EXPECT_EQ(ascents, 0u);
+}
+
+// Every probe ends exactly one way — answered or reaped — and nothing is
+// left in flight once the final sweep has run, with or without the TCP
+// retry path (which retires answered ids itself).
+TEST_F(ScannerFixture, FinalSweepEmptiesTheRingAndEveryProbeIsAccounted) {
+  resolver::BehaviorProfile honest;
+  honest.answer = resolver::AnswerMode::kRecursive;
+  plant(1, 100, honest);
+  plant(1, 200, truncating_profile(true));
+  plant(1, 300, truncating_profile(false));
+  for (const bool fallback : {false, true}) {
+    SCOPED_TRACE(fallback);
+    ScanConfig cfg = scan_config(1, 5000);
+    cfg.rate_pps = 2000;
+    cfg.tcp_fallback = fallback;
+    Scanner scanner(net, net::IPv4Addr(132, 170, 3, 44), cfg, scheme);
+    scanner.set_rotate_callback([&](std::uint32_t c) { auth.load_cluster(c); });
+    bool done = false;
+    scanner.start([&] { done = true; });
+    loop.run();
+    ASSERT_TRUE(done);
+    const ScanStats& s = scanner.stats();
+    EXPECT_TRUE(scanner.outstanding().empty());
+    EXPECT_EQ(s.r2_matched, 3u);
+    EXPECT_EQ(s.tcp_retries, fallback ? 2u : 0u);
+    EXPECT_GT(s.timeouts_reaped, 3000u);
+    EXPECT_EQ(s.q1_sent, s.r2_matched + s.timeouts_reaped);
+  }
 }
 
 }  // namespace

@@ -6,16 +6,13 @@
 // profile and its RRL slip) across a grid of variable assignments and
 // memcmp the stamped bytes against the factory's full encoding. The same
 // file pins the supporting machinery the scanner's hot path relies on:
-// match() soundness (a successful match re-stamps to the exact input),
-// derive() declining coupled or width-changing shapes, Lemire fastmod
-// exactness, and the OutstandingTable replaying std::unordered_map's
-// iteration order (which is digest-visible through the reap sweep).
+// match() soundness (a successful match re-stamps to the exact input) and
+// derive() declining coupled or width-changing shapes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dns/builder.h"
@@ -24,8 +21,6 @@
 #include "dns/truncate.h"
 #include "dns/message.h"
 #include "dns/wire_template.h"
-#include "net/sim_time.h"
-#include "prober/outstanding_table.h"
 #include "resolver/behavior.h"
 #include "resolver/scripted_resolver.h"
 #include "zone/cluster.h"
@@ -500,143 +495,6 @@ TEST(WireTemplateDerive, ConstantShapeStampsItsOneMessage) {
   EncodeBuffer buf, buf2;
   const auto stamped = to_vec(tpl.stamp({0xFFFF, 999, 9999999, 1, 2}, buf));
   EXPECT_EQ(stamped, to_vec(dns::encode_into(make({}), buf2)));
-}
-
-// ---- FastMod ---------------------------------------------------------------
-
-std::uint64_t splitmix(std::uint64_t& state) {
-  state += 0x9E3779B97F4A7C15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-TEST(FastMod, MatchesDivideAcrossBucketCounts) {
-  // Every divisor the bucket table can take: libstdc++'s small rehash
-  // primes, large primes near the top of the table, and adversarial
-  // non-primes for good measure.
-  const std::uint64_t divisors[] = {
-      1,       2,       3,        5,         7,         13,        29,
-      59,      127,     257,      541,       1109,      2357,      5087,
-      10273,   42043,   85229,    712697,    5967347,   49969847,
-      206062531, 849749479, 1725587117, 4294967291ull, 6442450939ull};
-  std::uint64_t rng = 42;
-  for (const std::uint64_t d : divisors) {
-    prober::FastMod fm;
-    fm.set(d);
-    const std::uint64_t edges[] = {0,     1,     d - 1, d,    d + 1,
-                                   2 * d, ~0ull, ~0ull - 1, d * d};
-    for (const std::uint64_t n : edges) EXPECT_EQ(fm.mod(n), n % d) << d;
-    for (int i = 0; i < 2000; ++i) {
-      const std::uint64_t n = splitmix(rng);
-      ASSERT_EQ(fm.mod(n), n % d) << "n=" << n << " d=" << d;
-    }
-  }
-}
-
-// ---- OutstandingTable ------------------------------------------------------
-
-/// A hasher shared verbatim by the table and the reference map, so both
-/// containers see identical hash values (the table's contract).
-struct MixHash {
-  std::size_t operator()(std::uint64_t k) const noexcept {
-    std::uint64_t z = k + 0x9E3779B97F4A7C15ull;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-  }
-};
-
-TEST(OutstandingTable, ReplaysUnorderedMapIterationOrder) {
-  // Interleaved inserts, duplicate inserts, and erases driven by one
-  // deterministic stream, applied to the table and to the hashtable it
-  // replaced. Size and membership must agree everywhere; on libstdc++ the
-  // full iteration order must be byte-identical too (the digest-visible
-  // property the reap sweep depends on).
-  prober::OutstandingTable<MixHash> table{MixHash{}};
-  std::unordered_map<std::uint64_t, net::SimTime, MixHash> ref;
-  std::vector<std::uint64_t> live;
-
-  std::uint64_t rng = 7;
-  for (int step = 0; step < 6000; ++step) {
-    const std::uint64_t roll = splitmix(rng);
-    if (roll % 4 == 0 && !live.empty()) {
-      // Erase a currently-present key.
-      const std::size_t at = roll / 7 % live.size();
-      const std::uint64_t key = live[at];
-      live[at] = live.back();
-      live.pop_back();
-      ref.erase(key);
-      const std::uint32_t h = table.find(key);
-      ASSERT_NE(h, prober::OutstandingTable<MixHash>::kNil);
-      table.erase_at(h);
-    } else if (roll % 16 == 1 && !live.empty()) {
-      // Duplicate insert: a no-op on both sides.
-      const std::uint64_t key = live[roll / 7 % live.size()];
-      ref.emplace(key, net::SimTime::millis(step));
-      table.emplace(key, net::SimTime::millis(step));
-    } else {
-      const std::uint64_t key = roll >> 16;  // occasional natural collisions
-      if (ref.emplace(key, net::SimTime::millis(step)).second)
-        live.push_back(key);
-      table.emplace(key, net::SimTime::millis(step));
-    }
-    ASSERT_EQ(table.size(), ref.size());
-  }
-
-  // Membership + stored values agree.
-  for (const auto& [key, sent] : ref) {
-    const std::uint32_t h = table.find(key);
-    ASSERT_NE(h, prober::OutstandingTable<MixHash>::kNil);
-    EXPECT_EQ(table.key_at(h), key);
-    EXPECT_EQ(table.sent_at(h), sent);
-  }
-  EXPECT_EQ(table.find(~0ull), prober::OutstandingTable<MixHash>::kNil);
-
-#ifdef __GLIBCXX__
-  // Iteration order replay — the load-bearing property.
-  std::vector<std::uint64_t> table_order;
-  for (std::uint32_t i = table.first();
-       i != prober::OutstandingTable<MixHash>::kNil; i = table.next(i))
-    table_order.push_back(table.key_at(i));
-  std::vector<std::uint64_t> map_order;
-  for (const auto& [key, sent] : ref) map_order.push_back(key);
-  ASSERT_EQ(table_order, map_order);
-#endif
-}
-
-TEST(OutstandingTable, EraseWhileIteratingMatchesMapSemantics) {
-  prober::OutstandingTable<MixHash> table{MixHash{}};
-  std::unordered_map<std::uint64_t, net::SimTime, MixHash> ref;
-  for (std::uint64_t k = 1; k <= 300; ++k) {
-    table.emplace(k * 0x10001, net::SimTime::millis(k));
-    ref.emplace(k * 0x10001, net::SimTime::millis(k));
-  }
-  // Reap every key with an odd low bit, erase-while-iterating on both.
-  for (std::uint32_t i = table.first();
-       i != prober::OutstandingTable<MixHash>::kNil;) {
-    if (table.key_at(i) & 1)
-      i = table.erase_at(i);
-    else
-      i = table.next(i);
-  }
-  for (auto it = ref.begin(); it != ref.end();) {
-    if (it->first & 1)
-      it = ref.erase(it);
-    else
-      ++it;
-  }
-  ASSERT_EQ(table.size(), ref.size());
-#ifdef __GLIBCXX__
-  std::vector<std::uint64_t> table_order;
-  for (std::uint32_t i = table.first();
-       i != prober::OutstandingTable<MixHash>::kNil; i = table.next(i))
-    table_order.push_back(table.key_at(i));
-  std::vector<std::uint64_t> map_order;
-  for (const auto& [key, sent] : ref) map_order.push_back(key);
-  ASSERT_EQ(table_order, map_order);
-#endif
 }
 
 }  // namespace

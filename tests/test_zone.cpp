@@ -133,6 +133,40 @@ TEST_F(SchemeTest, ParseRejectsForeignNames) {
   }
 }
 
+// canonical_key() must reproduce DnsName::canonical_key() exactly —
+// including at the wire template's width boundaries (cluster 999 -> 1000,
+// index overflow), where snprintf("%03u") grows naturally.
+TEST_F(SchemeTest, RenderedKeyMatchesCanonicalAcrossWidthBoundary) {
+  const SubdomainId ids[] = {
+      {0, 0},      {12, 34567},     {999, 0},  {999, 9999999},
+      {1000, 0},   {1000, 9999999}, {1500, 7}, {999, 10000000},
+      {4294967295u, 4294967295u},
+  };
+  for (const SubdomainId id : ids) {
+    char buf[SubdomainScheme::kKeyCapacity];
+    const std::string_view key = scheme.canonical_key(id, buf);
+    EXPECT_EQ(key, scheme.qname(id).canonical_key())
+        << id.cluster << "/" << id.index;
+    EXPECT_EQ(scheme.parse_key(key), id) << key;
+  }
+}
+
+TEST_F(SchemeTest, ParseKeyAcceptsOnlyCanonicalRenders) {
+  // Every key parse() would accept but canonical_key() never renders is
+  // rejected: the strict round trip is what keeps R2 grouping exact.
+  for (const char* s :
+       {"or1.0000001.ucfsealresearch.net", "or001.1.ucfsealresearch.net",
+        "or0001.0000001.ucfsealresearch.net", "OR001.0000001.ucfsealresearch.net",
+        "or001.0000001.ucfsealresearch.net.", "or001.0000001.example.net",
+        "or001..ucfsealresearch.net", "or.0000001.ucfsealresearch.net",
+        "or001.00000x1.ucfsealresearch.net", "or4294967296.0000001.ucfsealresearch.net",
+        "or001.0000001", "", "or"}) {
+    EXPECT_FALSE(scheme.parse_key(s).has_value()) << s;
+  }
+  EXPECT_EQ(scheme.parse_key("or001.0000001.ucfsealresearch.net"),
+            (SubdomainId{1, 1}));
+}
+
 TEST_F(SchemeTest, GroundTruthDeterministicAndPublic) {
   const auto a = scheme.ground_truth({1, 2});
   EXPECT_EQ(a, scheme.ground_truth({1, 2}));
