@@ -15,7 +15,7 @@ using namespace orp;
 int main(int argc, char** argv) {
   auto opts = bench::parse_options(argc, argv);
   if (argc <= 1 && std::getenv("ORP_BENCH_SCALE") == nullptr)
-    opts.scale = 4096;  // payload-retaining captures; keep the run modest
+    opts.scale = 4096;  // the auth capture retains payloads; keep it modest
   bench::print_header("Ablation — prober-only vs two-vantage measurement",
                       "paper §V 'Discussion' (Censys/Rapid7 critique)");
 
@@ -38,27 +38,27 @@ int main(int argc, char** argv) {
                           scan_cfg, internet.scheme());
   scanner.set_rotate_callback(
       [&](std::uint32_t c) { internet.auth().load_cluster(c); });
-  scanner.start([] {});
-  internet.loop().run();
 
-  // ---- Prober-only view ------------------------------------------------------
+  // ---- Prober-only view (each R2 as it arrives) -------------------------------
   std::uint64_t ra_open = 0;        // RA=1 responses: the flag-only estimate
-  std::uint64_t answers = 0;
   std::uint64_t wrong_answers = 0;  // detectable: we own the ground truth
   analysis::FlowGrouper grouper(internet.scheme());
-  for (const auto& rec : scanner.responses()) {
-    const analysis::R2View v = analysis::classify_r2(rec, internet.scheme());
-    if (!v.has_question) continue;
+  scanner.set_r2_callback([&](net::SimTime t, net::IPv4Addr resolver,
+                              std::span<const std::uint8_t> payload) {
+    const analysis::R2View v =
+        analysis::classify_r2({t, resolver, payload}, internet.scheme());
+    if (!v.has_question) return;
     if (v.ra) ++ra_open;
-    if (v.has_answer()) ++answers;
     if (v.has_answer() && !(v.form == analysis::AnswerForm::kIp && v.correct))
       ++wrong_answers;
     if (v.subdomain) {
       const auto qname = internet.scheme().qname(*v.subdomain);
-      grouper.add_probe(qname, rec.resolver);
+      grouper.add_probe(qname, resolver);
       grouper.add_r2(v, qname);
     }
-  }
+  });
+  scanner.start([] {});
+  internet.loop().run();
 
   // ---- Add the authoritative vantage ------------------------------------------
   for (const auto& pkt : auth_capture.inbound())

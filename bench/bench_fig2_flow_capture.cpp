@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   using namespace orp;
   auto opts = bench::parse_options(argc, argv);
   if (argc <= 1 && std::getenv("ORP_BENCH_SCALE") == nullptr)
-    opts.scale = 8192;  // captures retain payloads; keep the run modest
+    opts.scale = 8192;  // the auth capture retains payloads; keep it modest
   bench::print_header("Fig. 2 — measurement flow capture",
                       "paper §III-A, Fig. 2");
 
@@ -38,6 +38,22 @@ int main(int argc, char** argv) {
                           scan_cfg, internet.scheme());
   scanner.set_rotate_callback(
       [&](std::uint32_t c) { internet.auth().load_cluster(c); });
+
+  // Group all four packet kinds by qname (the §III-B matching method): the
+  // R2s open their flows as they arrive, the auth-side Q2/R1 captures are
+  // folded in after the scan.
+  analysis::FlowGrouper grouper(internet.scheme());
+  std::uint64_t answered = 0;
+  scanner.set_r2_callback([&](net::SimTime t, net::IPv4Addr resolver,
+                              std::span<const std::uint8_t> payload) {
+    const analysis::R2View view =
+        analysis::classify_r2({t, resolver, payload}, internet.scheme());
+    if (!view.has_question || !view.subdomain) return;
+    const auto qname = internet.scheme().qname(*view.subdomain);
+    grouper.add_probe(qname, resolver);
+    grouper.add_r2(view, qname);
+    if (view.has_answer()) ++answered;
+  });
   scanner.start([] {});
   internet.loop().run();
 
@@ -48,24 +64,12 @@ int main(int argc, char** argv) {
               util::with_commas(auth_capture.inbound_count()).c_str(),
               util::with_commas(auth_capture.outbound_count()).c_str());
 
-  // Group all four packet kinds by qname (the §III-B matching method).
-  analysis::FlowGrouper grouper(internet.scheme());
   for (const auto& pkt : auth_capture.inbound())
     grouper.add_auth_packet(pkt, /*inbound=*/true);
   for (const auto& pkt : auth_capture.outbound())
     grouper.add_auth_packet(pkt, /*inbound=*/false);
-  std::uint64_t answered = 0;
   std::uint64_t answered_with_recursion = 0;
   std::uint64_t fabricated = 0;
-  for (const auto& rec : scanner.responses()) {
-    const analysis::R2View view = analysis::classify_r2(rec, internet.scheme());
-    if (!view.has_question || !view.subdomain) continue;
-    const auto qname = internet.scheme().qname(*view.subdomain);
-    grouper.add_probe(qname, rec.resolver);
-    grouper.add_r2(view, qname);
-    if (!view.has_answer()) continue;
-    ++answered;
-  }
   for (const auto& [key, flow] : grouper.flows()) {
     if (!flow.has_r2 || !flow.r2 || !flow.r2->has_answer()) continue;
     if (flow.q2_count > 0)

@@ -1,16 +1,15 @@
-// Streaming vs post-hoc behavioral analysis: wall time and peak memory.
+// Streaming behavioral analysis: wall time and peak memory.
 //
-// The streaming path classifies each R2 at capture time and folds it into
-// per-shard partial tables; the post-hoc path retains every R2 payload,
-// materializes every view, sorts them canonically and analyzes in one pass.
-// This bench runs the full campaign both ways at several scales and records
-// wall seconds plus peak RSS into BENCH_analysis.json.
+// Every R2 is classified at capture time and folded into per-shard partial
+// tables. This bench runs the full campaign at several scales and records
+// wall seconds, peak RSS and the bytes retained to produce the tables into
+// BENCH_analysis.json.
 //
 // Peak RSS is a *process-wide* high-water mark, so each configuration runs
 // in a forked child: the child executes the campaign and reports wall/counts
 // through a pipe, the parent reads the child's ru_maxrss from wait4. Running
-// both modes in one process would let whichever ran first set the high-water
-// mark for both.
+// every scale in one process would let the largest set the high-water mark
+// for all.
 //
 // --ci: one streaming run at scale 256, JSON to BENCH_analysis.ci.json —
 // the pre-merge gate's memory-ceiling probe (see scripts/check_all.sh).
@@ -18,7 +17,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -49,7 +47,7 @@ struct RunResult {
   bool ok = false;
 };
 
-RunResult run_forked(std::uint64_t scale, bool posthoc) {
+RunResult run_forked(std::uint64_t scale) {
   RunResult result;
   int fds[2];
   if (pipe(fds) != 0) return result;
@@ -65,7 +63,6 @@ RunResult run_forked(std::uint64_t scale, bool posthoc) {
     cfg.scale = scale;
     cfg.seed = 42;
     cfg.threads = 1;
-    cfg.posthoc_analysis = posthoc;
     const auto t0 = std::chrono::steady_clock::now();
     const core::ScanOutcome o = core::run_measurement(core::paper_2018(), cfg);
     const auto t1 = std::chrono::steady_clock::now();
@@ -100,10 +97,10 @@ RunResult run_forked(std::uint64_t scale, bool posthoc) {
 
 /// Best-of-N: minimum wall (the unloaded estimate on a shared container)
 /// and minimum RSS (fork-time noise — page-cache sharing — only inflates).
-RunResult best_of(std::uint64_t scale, bool posthoc, int runs) {
+RunResult best_of(std::uint64_t scale, int runs) {
   RunResult best;
   for (int i = 0; i < runs; ++i) {
-    const RunResult r = run_forked(scale, posthoc);
+    const RunResult r = run_forked(scale);
     if (!r.ok) continue;
     if (!best.ok || r.report.wall_seconds < best.report.wall_seconds)
       best.report = r.report;
@@ -130,7 +127,7 @@ bool emit_json(const char* path, const std::string& json) {
 /// CI probe: one streaming campaign at scale 256, minimal JSON. The gate
 /// reads peak_rss_kb and enforces the memory ceiling.
 int run_ci(const char* path) {
-  const RunResult r = run_forked(256, /*posthoc=*/false);
+  const RunResult r = run_forked(256);
   if (!r.ok) {
     std::fprintf(stderr, "bench_micro_analysis: ci campaign failed\n");
     return 1;
@@ -163,64 +160,38 @@ int run_full(const char* path) {
       "  \"analysis_bytes_is\": \"bytes_retained_to_produce_the_tables\",\n"
       "  \"hardware_concurrency\": " +
       std::to_string(cores) + ",\n  \"results\": [\n";
-  double rss_ratio_256 = 0, wall_ratio_256 = 0, bytes_ratio_256 = 0;
   bool first = true;
   for (const std::uint64_t scale : {1024u, 256u, 64u}) {
-    double wall[2] = {0, 0};
-    long rss[2] = {0, 0};
-    std::uint64_t bytes[2] = {0, 0};
-    for (const bool posthoc : {false, true}) {
-      const RunResult r = best_of(scale, posthoc, kRuns);
-      if (!r.ok) {
-        std::fprintf(stderr, "bench_micro_analysis: campaign failed "
-                             "(scale %llu, posthoc %d)\n",
-                     static_cast<unsigned long long>(scale), posthoc);
-        return 1;
-      }
-      wall[posthoc] = r.report.wall_seconds;
-      rss[posthoc] = r.peak_rss_kb;
-      bytes[posthoc] = r.report.analysis_bytes;
-      char row[512];
-      std::snprintf(
-          row, sizeof(row),
-          "%s    {\"scale\": %llu, \"mode\": \"%s\", "
-          "\"wall_seconds\": %.3f, \"peak_rss_kb\": %ld, "
-          "\"analysis_bytes\": %llu, \"events\": %llu, \"r2\": %llu}",
-          first ? "" : ",\n", static_cast<unsigned long long>(scale),
-          posthoc ? "posthoc" : "streaming", r.report.wall_seconds,
-          r.peak_rss_kb,
-          static_cast<unsigned long long>(r.report.analysis_bytes),
-          static_cast<unsigned long long>(r.report.events),
-          static_cast<unsigned long long>(r.report.r2));
-      json += row;
-      first = false;
-      std::printf("scale=%-5llu %-9s  wall=%.3fs  peak_rss=%ld KB  "
-                  "analysis_bytes=%llu  r2=%llu\n",
-                  static_cast<unsigned long long>(scale),
-                  posthoc ? "posthoc" : "streaming", r.report.wall_seconds,
-                  r.peak_rss_kb,
-                  static_cast<unsigned long long>(r.report.analysis_bytes),
-                  static_cast<unsigned long long>(r.report.r2));
+    const RunResult r = best_of(scale, kRuns);
+    if (!r.ok) {
+      std::fprintf(stderr,
+                   "bench_micro_analysis: campaign failed (scale %llu)\n",
+                   static_cast<unsigned long long>(scale));
+      return 1;
     }
-    if (scale == 256) {
-      rss_ratio_256 = static_cast<double>(rss[1]) / rss[0];
-      wall_ratio_256 = wall[1] / wall[0];
-      bytes_ratio_256 = static_cast<double>(bytes[1]) /
-                        static_cast<double>(std::max<std::uint64_t>(bytes[0], 1));
-    }
+    char row[512];
+    std::snprintf(
+        row, sizeof(row),
+        "%s    {\"scale\": %llu, \"mode\": \"streaming\", "
+        "\"wall_seconds\": %.3f, \"peak_rss_kb\": %ld, "
+        "\"analysis_bytes\": %llu, \"events\": %llu, \"r2\": %llu}",
+        first ? "" : ",\n", static_cast<unsigned long long>(scale),
+        r.report.wall_seconds, r.peak_rss_kb,
+        static_cast<unsigned long long>(r.report.analysis_bytes),
+        static_cast<unsigned long long>(r.report.events),
+        static_cast<unsigned long long>(r.report.r2));
+    json += row;
+    first = false;
+    std::printf("scale=%-5llu wall=%.3fs  peak_rss=%ld KB  "
+                "analysis_bytes=%llu  r2=%llu\n",
+                static_cast<unsigned long long>(scale),
+                r.report.wall_seconds, r.peak_rss_kb,
+                static_cast<unsigned long long>(r.report.analysis_bytes),
+                static_cast<unsigned long long>(r.report.r2));
   }
-  char tail[384];
-  std::snprintf(tail, sizeof(tail),
-                "\n  ],\n  \"scale256_rss_posthoc_over_streaming\": %.2f,\n"
-                "  \"scale256_wall_posthoc_over_streaming\": %.2f,\n"
-                "  \"scale256_analysis_bytes_posthoc_over_streaming\": %.1f\n"
-                "}\n",
-                rss_ratio_256, wall_ratio_256, bytes_ratio_256);
-  json += tail;
+  json += "\n  ]\n}\n";
   if (!emit_json(path, json)) return 1;
-  std::printf("wrote %s (scale 256 posthoc/streaming: rss x%.2f, wall x%.2f, "
-              "analysis bytes x%.1f)\n",
-              path, rss_ratio_256, wall_ratio_256, bytes_ratio_256);
+  std::printf("wrote %s\n", path);
   return 0;
 }
 

@@ -167,7 +167,8 @@ void BM_ClassifyR2(benchmark::State& state) {
   const zone::SubdomainScheme scheme(
       dns::DnsName::must_parse("ucfsealresearch.net"), 5'000'000, 7);
   const auto wire = dns::encode(full_response());
-  const prober::R2Record rec{net::SimTime{}, net::IPv4Addr(8, 8, 8, 8), wire};
+  const analysis::R2Record rec{net::SimTime{}, net::IPv4Addr(8, 8, 8, 8),
+                               wire};
   for (auto _ : state) {
     const auto view = analysis::classify_r2(rec, scheme);
     benchmark::DoNotOptimize(view.correct);
@@ -217,8 +218,8 @@ BENCHMARK(BM_QnameRoundTrip);
 /// walking the rdata variant. (classify_r2 in src/analysis now produces the
 /// same R2View from a DecodeView; the differential fuzz suite pins the
 /// equivalence.)
-analysis::R2View classify_r2_materialized(const prober::R2Record& record,
-                                          const zone::SubdomainScheme& scheme) {
+analysis::R2View classify_r2_materialized(
+    const analysis::R2Record& record, const zone::SubdomainScheme& scheme) {
   analysis::R2View view;
   view.resolver = record.resolver;
   view.time = record.time;
@@ -300,11 +301,11 @@ void write_bench_codec_json(const char* path) {
   const dns::Message query = probe_query();
   const dns::Message response = full_response();
   const auto response_wire = dns::encode(response);
-  const prober::R2Record rec_a{net::SimTime{}, net::IPv4Addr(8, 8, 8, 8),
-                               response_wire};
+  const analysis::R2Record rec_a{net::SimTime{}, net::IPv4Addr(8, 8, 8, 8),
+                                 response_wire};
   const auto txt_wire = dns::encode(txt_response());
-  const prober::R2Record rec_txt{net::SimTime{}, net::IPv4Addr(8, 8, 8, 8),
-                                 txt_wire};
+  const analysis::R2Record rec_txt{
+      net::SimTime{}, net::IPv4Addr(8, 8, 8, 8), txt_wire};
   dns::EncodeBuffer scratch;
 
   // The wire templates this PR's producers stamp from: the scanner's probe

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <vector>
 
 #include "core/internet_builder.h"
 #include "core/paper_data.h"
@@ -39,6 +40,12 @@ int main(int argc, char** argv) {
                           scan_cfg, internet.scheme());
   scanner.set_rotate_callback(
       [&internet](std::uint32_t c) { internet.auth().load_cluster(c); });
+  std::vector<net::IPv4Addr> responders;  // in R2 arrival order
+  scanner.set_r2_callback(
+      [&responders](net::SimTime, net::IPv4Addr resolver,
+                    std::span<const std::uint8_t>) {
+        responders.push_back(resolver);
+      });
   scanner.start([] {});
   internet.loop().run();
   std::printf("discovery scan: %s responders\n\n",
@@ -62,11 +69,11 @@ int main(int argc, char** argv) {
     }
   });
   std::uint16_t txn = 1;
-  for (const auto& rec : scanner.responses()) {
+  for (const net::IPv4Addr resolver : responders) {
     dns::Message q = dns::make_query(txn++, version_bind, dns::RRType::kTXT);
     q.questions[0].qclass = dns::RRClass::kCH;
     internet.network().send(net::Datagram{
-        prober, net::Endpoint{rec.resolver, net::kDnsPort}, dns::encode(q)});
+        prober, net::Endpoint{resolver, net::kDnsPort}, dns::encode(q)});
   }
   internet.loop().run();
 

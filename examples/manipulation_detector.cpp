@@ -11,6 +11,7 @@
 //   ./manipulation_detector [scale] [seed]
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "analysis/flow.h"
 #include "core/paper_data.h"
@@ -47,6 +48,22 @@ int main(int argc, char** argv) {
                           scan_cfg, internet.scheme());
   scanner.set_rotate_callback(
       [&](std::uint32_t c) { internet.auth().load_cluster(c); });
+
+  // Every R2 opens its flow as it arrives; the manipulated ones are kept
+  // for the evidence pass once the auth-side captures are in.
+  analysis::FlowGrouper grouper(internet.scheme());
+  std::vector<analysis::R2View> suspects;
+  scanner.set_r2_callback([&](net::SimTime t, net::IPv4Addr resolver,
+                              std::span<const std::uint8_t> payload) {
+    analysis::R2View v =
+        analysis::classify_r2({t, resolver, payload}, internet.scheme());
+    if (!v.has_question || !v.subdomain) return;
+    const auto qname = internet.scheme().qname(*v.subdomain);
+    grouper.add_probe(qname, resolver);
+    grouper.add_r2(v, qname);
+    if (v.has_answer() && !(v.form == analysis::AnswerForm::kIp && v.correct))
+      suspects.push_back(std::move(v));
+  });
   scanner.start([] {});
   internet.loop().run();
 
@@ -55,7 +72,6 @@ int main(int argc, char** argv) {
               util::with_commas(scanner.stats().r2_received).c_str());
 
   // Recursion evidence, grouped by qname.
-  analysis::FlowGrouper grouper(internet.scheme());
   for (const auto& pkt : auth_capture.inbound())
     grouper.add_auth_packet(pkt, /*inbound=*/true);
   for (const auto& pkt : auth_capture.outbound())
@@ -64,17 +80,10 @@ int main(int argc, char** argv) {
   util::TextTable findings(
       {"resolver", "country", "answer", "intel", "evidence"});
   findings.set_align(4, util::Align::kLeft);
-  std::uint64_t manipulated = 0;
+  const std::uint64_t manipulated = suspects.size();
   std::uint64_t fabricated_confirmed = 0;
-  for (const auto& rec : scanner.responses()) {
-    const analysis::R2View v = analysis::classify_r2(rec, internet.scheme());
-    if (!v.has_question || !v.subdomain) continue;
+  for (const analysis::R2View& v : suspects) {
     const auto qname = internet.scheme().qname(*v.subdomain);
-    grouper.add_probe(qname, rec.resolver);
-    grouper.add_r2(v, qname);
-    if (!v.has_answer() || (v.form == analysis::AnswerForm::kIp && v.correct))
-      continue;
-    ++manipulated;
     const auto& flow = grouper.flows().at(qname.canonical_key());
     const bool no_recursion = flow.q2_count == 0;
     if (no_recursion) ++fabricated_confirmed;
@@ -96,8 +105,8 @@ int main(int argc, char** argv) {
       case analysis::AnswerForm::kUndecodable: answer = "<garbled>"; break;
       default: break;
     }
-    findings.add_row({rec.resolver.to_string(),
-                      internet.geo().country_of(rec.resolver), answer, intel,
+    findings.add_row({v.resolver.to_string(),
+                      internet.geo().country_of(v.resolver), answer, intel,
                       no_recursion ? "no recursion observed" : "recursed"});
   }
 

@@ -11,11 +11,13 @@
 //     --quiet               suppress the table printout
 //
 // Exit status: 0 on success, 2 on bad usage.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "analysis/export.h"
 #include "core/contrast.h"
@@ -101,6 +103,59 @@ bool write_file(const std::string& path, const std::string& content) {
   return static_cast<bool>(out);
 }
 
+/// Per-response export rows, taken from one scan's R2 hook as they arrive.
+struct Export {
+  std::vector<analysis::R2View> views;        // --csv
+  std::vector<net::CapturedPacket> packets;   // --pcap
+};
+
+/// The single-shard scan run_measurement performs, with the scanner's R2
+/// hook feeding the export buffers.
+Export export_scan(const core::PaperYear& year, const Options& opts) {
+  const core::PopulationSpec spec =
+      core::build_population(year, opts.scale, opts.seed);
+  core::InternetConfig net_cfg;
+  net_cfg.seed = opts.seed;
+  net_cfg.scan_seed = util::mix64(opts.seed + year.year);
+  net_cfg.loss_rate = opts.loss;
+  core::SimulatedInternet internet(spec, net_cfg);
+  prober::ScanConfig scan_cfg;
+  scan_cfg.seed = net_cfg.scan_seed;
+  scan_cfg.rate_pps = spec.rate_pps;
+  scan_cfg.raw_steps = spec.raw_steps;
+  scan_cfg.rotate_pause = net::SimTime::seconds(spec.zone_load_seconds);
+  prober::Scanner scanner(internet.network(), internet.prober_address(),
+                          scan_cfg, internet.scheme());
+  scanner.set_rotate_callback(
+      [&internet](std::uint32_t c) { internet.auth().load_cluster(c); });
+
+  Export out;
+  const bool csv = !opts.csv_path.empty();
+  const bool pcap = !opts.pcap_path.empty();
+  scanner.set_r2_callback([&](net::SimTime t, net::IPv4Addr resolver,
+                              std::span<const std::uint8_t> payload) {
+    if (csv)
+      out.views.push_back(analysis::classify_r2({t, resolver, payload},
+                                                internet.scheme()));
+    if (pcap) {
+      net::CapturedPacket pkt;
+      pkt.time = t;
+      pkt.src = net::Endpoint{resolver, net::kDnsPort};
+      pkt.dst = net::Endpoint{internet.prober_address(), 54321};
+      pkt.payload.assign(payload.begin(), payload.end());
+      out.packets.push_back(std::move(pkt));
+    }
+  });
+  scanner.start([] {});
+  internet.loop().run();
+  // CSV rows in canonical order: stable by resolver address.
+  std::stable_sort(out.views.begin(), out.views.end(),
+                   [](const analysis::R2View& a, const analysis::R2View& b) {
+                     return a.resolver.value() < b.resolver.value();
+                   });
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -113,10 +168,6 @@ int main(int argc, char** argv) {
   cfg.scale = opts.scale;
   cfg.seed = opts.seed;
   cfg.loss_rate = opts.loss;
-  // Per-response CSV export needs the materialized views; everything else
-  // (summary tables, --summary-csv) comes from the streamed tables, so the
-  // debugging knob stays off unless the rows are actually wanted.
-  cfg.retain_views = !opts.csv_path.empty();
 
   if (!opts.quiet)
     std::printf("orpscan: %d population, scale 1/%llu, seed %llu%s\n",
@@ -124,8 +175,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(opts.seed),
                 opts.loss > 0 ? " (lossy)" : "");
 
-  // The scanner's raw R2 payloads are needed for --pcap; run the pipeline
-  // manually when exporting packets, otherwise take the packaged path.
   const core::ScanOutcome outcome = core::run_measurement(year, cfg);
 
   if (!opts.quiet) {
@@ -150,14 +199,19 @@ int main(int argc, char** argv) {
                 util::with_commas(est.correct_only).c_str());
   }
 
+  // Per-response export: the pipeline keeps no responses, so one more
+  // single-shard scan hands each R2 to the exporters as it arrives.
+  Export rows;
+  if (!opts.csv_path.empty() || !opts.pcap_path.empty())
+    rows = export_scan(year, opts);
   if (!opts.csv_path.empty()) {
-    if (!write_file(opts.csv_path, analysis::views_to_csv(outcome.views))) {
+    if (!write_file(opts.csv_path, analysis::views_to_csv(rows.views))) {
       std::fprintf(stderr, "orpscan: cannot write %s\n",
                    opts.csv_path.c_str());
       return 1;
     }
     if (!opts.quiet)
-      std::printf("wrote %zu response rows to %s\n", outcome.views.size(),
+      std::printf("wrote %zu response rows to %s\n", rows.views.size(),
                   opts.csv_path.c_str());
   }
   if (!opts.summary_csv_path.empty()) {
@@ -171,45 +225,13 @@ int main(int argc, char** argv) {
       std::printf("wrote summary to %s\n", opts.summary_csv_path.c_str());
   }
   if (!opts.pcap_path.empty()) {
-    // Re-run with a raw-payload capture path: the packaged outcome keeps
-    // decoded views only, so rebuild the R2 packets from them is lossy;
-    // instead drive the scanner directly.
-    const core::PopulationSpec spec =
-        core::build_population(year, opts.scale, opts.seed);
-    core::InternetConfig net_cfg;
-    net_cfg.seed = opts.seed;
-    net_cfg.scan_seed = util::mix64(opts.seed + year.year);
-    net_cfg.loss_rate = opts.loss;
-    core::SimulatedInternet internet(spec, net_cfg);
-    prober::ScanConfig scan_cfg;
-    scan_cfg.seed = net_cfg.scan_seed;
-    scan_cfg.rate_pps = spec.rate_pps;
-    scan_cfg.raw_steps = spec.raw_steps;
-    scan_cfg.rotate_pause = net::SimTime::seconds(spec.zone_load_seconds);
-    prober::Scanner scanner(internet.network(), internet.prober_address(),
-                            scan_cfg, internet.scheme());
-    scanner.set_rotate_callback(
-        [&internet](std::uint32_t c) { internet.auth().load_cluster(c); });
-    scanner.start([] {});
-    internet.loop().run();
-
-    std::vector<net::CapturedPacket> packets;
-    packets.reserve(scanner.responses().size());
-    for (const auto& rec : scanner.responses()) {
-      net::CapturedPacket pkt;
-      pkt.time = rec.time;
-      pkt.src = net::Endpoint{rec.resolver, net::kDnsPort};
-      pkt.dst = net::Endpoint{internet.prober_address(), 54321};
-      pkt.payload.assign(rec.payload.begin(), rec.payload.end());
-      packets.push_back(std::move(pkt));
-    }
-    if (!net::write_pcap_file(opts.pcap_path, packets)) {
+    if (!net::write_pcap_file(opts.pcap_path, rows.packets)) {
       std::fprintf(stderr, "orpscan: cannot write %s\n",
                    opts.pcap_path.c_str());
       return 1;
     }
     if (!opts.quiet)
-      std::printf("wrote %zu R2 packets to %s\n", packets.size(),
+      std::printf("wrote %zu R2 packets to %s\n", rows.packets.size(),
                   opts.pcap_path.c_str());
   }
   return 0;

@@ -143,13 +143,13 @@ int main() {
         network, addr, entry.profile, engine_config, index + 1));
 
     const zone::SubdomainId id{0, index};
-    std::optional<prober::R2Record> r2;
+    std::optional<analysis::R2Record> r2;
     // R2Record::payload is a borrowed span; keep the bytes in an owned
     // buffer that outlives the datagram's pooled slab.
     std::vector<std::uint8_t> r2_wire;
     network.bind(prober, [&](const net::Datagram& d) {
       r2_wire = d.payload.to_vector();
-      r2 = prober::R2Record{loop.now(), d.src.addr, r2_wire};
+      r2 = analysis::R2Record{loop.now(), d.src.addr, r2_wire};
     });
     network.send(net::Datagram{
         prober, net::Endpoint{addr, net::kDnsPort},

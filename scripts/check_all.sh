@@ -62,7 +62,7 @@ echo "==== tier-1: streaming-analysis memory ceiling ===="
 # being retained again (the O(probes) view buffer the streaming analyzer
 # exists to eliminate), not noise. BENCH_analysis.ci.json also records
 # analysis_bytes: the bytes retained to produce the tables, which should
-# stay in the KB range while posthoc runs carry MBs.
+# stay in the KB range (retaining every view took ~3.9 MB at this scale).
 RSS_CEILING_KB=131072
 "$BUILD_DIR/bench/bench_micro_analysis" --ci
 rss_kb=$(sed -n 's/.*"peak_rss_kb": \([0-9]*\).*/\1/p' BENCH_analysis.ci.json)

@@ -5,8 +5,9 @@
 #
 # The zero-allocation core trades owned buffers for shared ones: pooled
 # PayloadRef slabs are refcounted across in-flight events, taps, and the
-# receiving handler; CaptureStore and R2Store records are {offset,len} /
-# span views into append-only arenas; InlineAction relocates closures inside
+# receiving handler; CaptureStore records are {offset,len} views into an
+# append-only arena, and the scanner's R2 callback borrows the delivery
+# buffer for the duration of the call; InlineAction relocates closures inside
 # a fixed buffer during heap sifts. A lifetime or aliasing mistake in any of
 # those would corrupt memory rather than fail a value assertion, and a
 # missed happens-before edge between shard loops would corrupt the merge —

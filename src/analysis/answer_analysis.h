@@ -5,11 +5,12 @@
 // empty-question packets get their own analysis (§IV-B4 /
 // empty_question.h). "Incorrect" means an answer section is present but its
 // content is not the ground truth — wrong IP, URL instead of an address,
-// garbage string, or undecodable bytes.
+// garbage string, or undecodable bytes. Every table type in this and the
+// sibling headers is filled by the one accumulator, analysis::PartialTables
+// (streaming.h).
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "analysis/flow.h"
 #include "util/apportion.h"
@@ -36,7 +37,5 @@ struct AnswerBreakdown {
     return *this;
   }
 };
-
-AnswerBreakdown analyze_answers(std::span<const R2View> views);
 
 }  // namespace orp::analysis

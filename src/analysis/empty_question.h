@@ -5,10 +5,8 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 
 #include "analysis/flow.h"
-#include "intel/org_db.h"
 
 namespace orp::analysis {
 
@@ -45,8 +43,5 @@ struct EmptyQuestionSummary {
     return *this;
   }
 };
-
-EmptyQuestionSummary analyze_empty_question(std::span<const R2View> views,
-                                            const intel::OrgDb& orgs);
 
 }  // namespace orp::analysis

@@ -1,11 +1,6 @@
 #include "analysis/flow.h"
 
-#include <algorithm>
-#include <unordered_map>
-
 #include "dns/decode_view.h"
-#include "util/hash.h"
-#include "util/rng.h"
 
 namespace orp::analysis {
 
@@ -20,7 +15,7 @@ std::string_view to_string(AnswerForm f) noexcept {
   return "?";
 }
 
-R2View classify_r2(const prober::R2Record& record,
+R2View classify_r2(const R2Record& record,
                    const zone::SubdomainScheme& scheme) {
   R2View view;
   classify_r2_into(record.payload, record.resolver, record.time, scheme, view);
@@ -147,52 +142,6 @@ void classify_r2_into(std::span<const std::uint8_t> payload,
       return;
     }
   }
-}
-
-std::vector<R2View> classify_all(const prober::R2Store& records,
-                                 const zone::SubdomainScheme& scheme) {
-  std::vector<R2View> views;
-  views.reserve(records.size());
-  for (const auto& rec : records) views.push_back(classify_r2(rec, scheme));
-  return views;
-}
-
-std::vector<R2View> merge_views(std::vector<std::vector<R2View>> shards) {
-  std::vector<R2View> merged;
-  std::size_t total = 0;
-  for (const auto& s : shards) total += s.size();
-  merged.reserve(total);
-  for (auto& s : shards)
-    merged.insert(merged.end(), std::make_move_iterator(s.begin()),
-                  std::make_move_iterator(s.end()));
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const R2View& a, const R2View& b) {
-                     return a.resolver.value() < b.resolver.value();
-                   });
-  return merged;
-}
-
-std::uint64_t behavior_digest(const std::vector<R2View>& views) {
-  std::uint64_t digest = 0;
-  for (const R2View& v : views) {
-    util::Fnv1a h;
-    h.word(v.resolver.value())
-        .word(v.header_decoded)
-        .word(v.has_question)
-        .word(v.ra)
-        .word(v.aa)
-        .word(static_cast<std::uint64_t>(v.rcode))
-        .word(static_cast<std::uint64_t>(v.form))
-        .word(v.correct);
-    // A *correct* answer IP is the ground truth of whichever probe name the
-    // scanner happened to allocate — an ordering artifact, excluded. An
-    // incorrect one is the resolver's own rewrite target — behavior, folded.
-    if (v.answer_ip && !v.correct) h.word(v.answer_ip->value());
-    h.word(util::fnv1a64(v.answer_text));
-    // Wrapping sum: commutative, so the digest ignores view order entirely.
-    digest += util::mix64(h.value());
-  }
-  return digest;
 }
 
 void FlowGrouper::add_probe(const dns::DnsName& qname, net::IPv4Addr target) {

@@ -16,7 +16,8 @@
 
 #include "dns/codec.h"
 #include "net/capture.h"
-#include "prober/scanner.h"
+#include "net/ipv4.h"
+#include "net/sim_time.h"
 #include "util/strings.h"
 #include "zone/cluster.h"
 
@@ -58,8 +59,17 @@ struct R2View {
   bool correct = false;
 };
 
+/// One captured R2 as raw bytes (the classifier re-decodes, because decode
+/// *failure* is itself a measured behavior). `payload` borrows the caller's
+/// buffer.
+struct R2Record {
+  net::SimTime time;
+  net::IPv4Addr resolver;
+  std::span<const std::uint8_t> payload;
+};
+
 /// Decode + judge one captured R2 against the probe subdomain scheme.
-R2View classify_r2(const prober::R2Record& record,
+R2View classify_r2(const R2Record& record,
                    const zone::SubdomainScheme& scheme);
 
 /// The same classification written into a caller-owned scratch view. `out`
@@ -70,25 +80,6 @@ R2View classify_r2(const prober::R2Record& record,
 void classify_r2_into(std::span<const std::uint8_t> payload,
                       net::IPv4Addr resolver, net::SimTime time,
                       const zone::SubdomainScheme& scheme, R2View& out);
-
-/// Classify a whole scan's worth.
-std::vector<R2View> classify_all(const prober::R2Store& records,
-                                 const zone::SubdomainScheme& scheme);
-
-/// Merge per-shard view sets into one canonically-ordered set: stable sort
-/// by resolver address (each planted host responds at most once, so the key
-/// is unique in practice; ties keep shard-local arrival order). Applied for
-/// every shard count — including 1 — so the merged output is a function of
-/// *which* resolvers responded, never of how the scan was partitioned.
-std::vector<R2View> merge_views(std::vector<std::vector<R2View>> shards);
-
-/// Order-insensitive digest over the behavioral content of a view set. A
-/// resolver's R2 behavior (flags, rcode, answer form/correctness, rewrite
-/// target) is a pure function of its profile and seed; the probe qname, DNS
-/// txn id and arrival time are allocation-order artifacts. The digest folds
-/// only the former, so it is byte-identical across thread counts and is the
-/// pipeline's cross-shard determinism check.
-std::uint64_t behavior_digest(const std::vector<R2View>& views);
 
 /// A grouped measurement flow (Fig. 2): the probe (Q1), the recursive
 /// queries observed at the authoritative server (Q2/R1), and the resolver's

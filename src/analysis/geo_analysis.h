@@ -3,12 +3,10 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "analysis/flow.h"
-#include "intel/geo_db.h"
 
 namespace orp::analysis {
 
@@ -28,9 +26,5 @@ struct GeoSummary {
   std::uint64_t total = 0;
   std::size_t country_count() const noexcept { return countries.size(); }
 };
-
-/// Geolocate the sender of each malicious R2.
-GeoSummary malicious_by_country(std::span<const R2View> malicious_views,
-                                const intel::GeoDb& geo);
 
 }  // namespace orp::analysis

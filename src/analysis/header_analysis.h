@@ -8,7 +8,6 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 
 #include "analysis/flow.h"
 #include "util/apportion.h"
@@ -49,9 +48,6 @@ struct FlagTable {
   }
 };
 
-FlagTable analyze_ra(std::span<const R2View> views);  // Table IV
-FlagTable analyze_aa(std::span<const R2View> views);  // Table V
-
 /// Table VI: rcode distribution split by answer presence.
 struct RcodeRow {
   std::uint64_t with_answer = 0;     // "W"
@@ -79,12 +75,14 @@ struct RcodeTable {
   }
   /// Abnormal combinations the paper calls out: nonzero rcode carrying an
   /// answer, and NoError without one.
-  std::uint64_t error_rcode_with_answer() const noexcept;
+  std::uint64_t error_rcode_with_answer() const noexcept {
+    std::uint64_t total = 0;
+    for (std::size_t i = 1; i < rows.size(); ++i) total += rows[i].with_answer;
+    return total;
+  }
   std::uint64_t noerror_without_answer() const noexcept {
     return rows[0].without_answer;
   }
 };
-
-RcodeTable analyze_rcodes(std::span<const R2View> views);
 
 }  // namespace orp::analysis

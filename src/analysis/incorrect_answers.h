@@ -3,13 +3,9 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "analysis/flow.h"
-#include "intel/org_db.h"
-#include "intel/threat_db.h"
 
 namespace orp::analysis {
 
@@ -34,8 +30,6 @@ struct IncorrectSummary {
   }
 };
 
-IncorrectSummary analyze_incorrect(std::span<const R2View> views);
-
 /// One row of Table VIII.
 struct TopIncorrectEntry {
   net::IPv4Addr addr;
@@ -44,13 +38,6 @@ struct TopIncorrectEntry {
   /// 'Y' = threat reports on file, 'N' = none, '-' = private (N/A).
   char reported = 'N';
 };
-
-/// The k most frequent addresses in incorrect IP answers, most frequent
-/// first; ties broken by address for determinism.
-std::vector<TopIncorrectEntry> top_incorrect_ips(std::span<const R2View> views,
-                                                 std::size_t k,
-                                                 const intel::OrgDb& orgs,
-                                                 const intel::ThreatDb& threats);
 
 /// §V "Private Network in Incorrect Information": incorrect answers that
 /// point into RFC1918/CGN space — puzzling from an external probe, since the
@@ -68,8 +55,5 @@ struct PrivateRedirectSummary {
                                       static_cast<double>(incorrect_total);
   }
 };
-
-PrivateRedirectSummary analyze_private_redirects(
-    std::span<const R2View> views);
 
 }  // namespace orp::analysis

@@ -7,8 +7,6 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "analysis/flow.h"
 #include "intel/threat_db.h"
@@ -31,12 +29,6 @@ struct MaliciousSummary {
   std::uint64_t aa0 = 0;
   std::uint64_t aa1 = 0;
   std::uint64_t rcode_noerror = 0;  // the paper found all 26,926 at rcode 0
-
-  /// Every malicious R2 view, for downstream geo analysis.
-  std::vector<R2View> malicious_views;
 };
-
-MaliciousSummary analyze_malicious(std::span<const R2View> views,
-                                   const intel::ThreatDb& threats);
 
 }  // namespace orp::analysis

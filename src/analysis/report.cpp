@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "analysis/streaming.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -14,19 +15,9 @@ using util::with_commas;
 ScanAnalysis analyze_scan(std::span<const R2View> views,
                           const intel::ThreatDb& threats,
                           const intel::GeoDb& geo, const intel::OrgDb& orgs) {
-  ScanAnalysis out;
-  out.r2_total = views.size();
-  out.answers = analyze_answers(views);
-  out.ra = analyze_ra(views);
-  out.aa = analyze_aa(views);
-  out.rcodes = analyze_rcodes(views);
-  out.incorrect = analyze_incorrect(views);
-  out.top10 = top_incorrect_ips(views, 10, orgs, threats);
-  out.malicious = analyze_malicious(views, threats);
-  out.geo = malicious_by_country(out.malicious.malicious_views, geo);
-  out.empty_question = analyze_empty_question(views, orgs);
-  out.private_redirects = analyze_private_redirects(views);
-  return out;
+  PartialTables tables;
+  for (const R2View& v : views) tables.observe(v, threats, geo, orgs);
+  return tables.finalize(orgs, threats);
 }
 
 std::string render_answer_table(const AnswerRows& rows) {

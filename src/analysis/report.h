@@ -36,6 +36,10 @@ struct ScanAnalysis {
   PrivateRedirectSummary private_redirects;  // §V discussion
 };
 
+/// Fold a span of classified views through PartialTables (streaming.h) and
+/// finalize. Example strings follow the accumulator's canonical-first rule
+/// (lowest resolver address, first arrival on ties), whatever the span's
+/// order.
 ScanAnalysis analyze_scan(std::span<const R2View> views,
                           const intel::ThreatDb& threats,
                           const intel::GeoDb& geo, const intel::OrgDb& orgs);

@@ -10,8 +10,7 @@
 namespace orp::analysis {
 namespace {
 
-/// The per-view tally shared by Tables III-V (same classification the
-/// post-hoc analyze_answers / analyze_ra / analyze_aa apply).
+/// The per-view tally shared by Tables III-V.
 void tally_flag(FlagBreakdown& row, const R2View& v) noexcept {
   if (!v.has_answer()) {
     ++row.without_answer;
@@ -22,7 +21,7 @@ void tally_flag(FlagBreakdown& row, const R2View& v) noexcept {
   }
 }
 
-/// The per-view digest fold of behavior_digest, verbatim.
+/// One view's term of PartialTables::digest.
 std::uint64_t view_digest(const R2View& v) noexcept {
   util::Fnv1a h;
   h.word(v.resolver.value())
@@ -33,6 +32,9 @@ std::uint64_t view_digest(const R2View& v) noexcept {
       .word(static_cast<std::uint64_t>(v.rcode))
       .word(static_cast<std::uint64_t>(v.form))
       .word(v.correct);
+  // A *correct* answer IP is the ground truth of whichever probe name the
+  // scanner happened to allocate — an ordering artifact, excluded. An
+  // incorrect one is the resolver's own rewrite target — behavior, folded.
   if (v.answer_ip && !v.correct) h.word(v.answer_ip->value());
   h.word(util::fnv1a64(v.answer_text));
   return util::mix64(h.value());
@@ -222,8 +224,8 @@ ScanAnalysis PartialTables::finalize(const intel::OrgDb& orgs,
   out.incorrect.na.r2 = na_r2;
   if (na_r2 > 0) out.incorrect.na.example = "<0x00>";
 
-  // Table VIII: same (count desc, addr asc) total order as the post-hoc
-  // ranking — the comparator is strict over the map's unique keys, so the
+  // Table VIII: the top 10 in (count desc, addr asc) order, ties broken by
+  // address — the comparator is strict over the map's unique keys, so the
   // result is independent of the unordered map's iteration order.
   std::vector<std::pair<std::uint32_t, std::uint64_t>> ranked(
       wrong_ip_counts.begin(), wrong_ip_counts.end());
@@ -257,9 +259,6 @@ ScanAnalysis PartialTables::finalize(const intel::OrgDb& orgs,
   out.malicious.aa0 = mal_aa0;
   out.malicious.aa1 = mal_aa1;
   out.malicious.rcode_noerror = mal_rcode_noerror;
-  // malicious_views intentionally stays empty: the streaming path exists to
-  // avoid retaining views, and its only downstream consumer is the geo
-  // table below.
 
   out.geo.total = mal_r2;
   out.geo.countries.reserve(malicious_by_country.size());

@@ -1,33 +1,34 @@
-// Streaming behavioral analysis: per-shard partial tables.
+// Behavioral analysis: the one accumulator every §IV table comes from.
 //
-// The post-hoc analyzer (`analyze_scan`) needs every R2 of the campaign
-// materialized as an R2View in one canonically-sorted vector — O(probes)
-// peak memory and a single-threaded pass after the shards finish. The
-// streaming path classifies each R2 *as it is captured* and folds it into a
-// PartialTables accumulator owned by the shard; shards stay share-nothing
-// and the pipeline merges the partials with `operator+=` exactly like
-// ScanStats. Peak memory drops to O(shards × distinct values + exemplars).
+// Each shard classifies every R2 *as it is captured* (the scanner's R2
+// callback) and folds it into a PartialTables owned by the shard; nothing
+// per-response survives the scan. Shards stay share-nothing and the
+// pipeline merges the partials with `operator+=` exactly like ScanStats, so
+// peak memory is O(shards x distinct values + exemplars), not O(probes).
+// `analyze_scan` (report.h) is the same fold over a span of views.
 //
-// Exactness contract (pinned by PipelineSharding.StreamingAnalysisIsExact):
-// the finalized ScanAnalysis is byte-identical to the post-hoc pass for
-// every shard layout, batch cap, wire-template setting and loss rate. The
-// two non-obvious pieces:
+// Layout independence (pinned by PipelineSharding.StreamingAnalysisIsExact
+// against goldens frozen from the retired whole-campaign pass): the
+// finalized ScanAnalysis is byte-identical for every shard layout, batch
+// cap and wire-template setting (under packet loss, for a fixed shard
+// layout: loss draws come from per-shard streams). The two non-obvious
+// pieces:
 //
-//  - Exemplars. The post-hoc example strings are "first view in canonical
-//    order with the property", and canonical order is a stable sort by
-//    resolver address over shard-order concatenation. So the canonical
-//    first is exactly: minimum resolver address, ties broken by (shard
-//    index, arrival order). A per-shard exemplar that replaces only on a
-//    strictly smaller resolver (keeping the first arrival on equal), merged
+//  - Exemplars. An example string is the "first view in canonical order
+//    with the property", where canonical order is a stable sort by resolver
+//    address over shard-order concatenation. So the canonical first is
+//    exactly: minimum resolver address, ties broken by (shard index,
+//    arrival order). A per-shard exemplar that replaces only on a strictly
+//    smaller resolver (keeping the first arrival on equal), merged
 //    left-to-right in shard order with the same strict comparison,
 //    reproduces it without retaining any view.
 //
 //  - Top-K / geo sketches. The wrong-IP table keeps the *full* count map
 //    (bounded by distinct wrong addresses, not probes) and ranks at
-//    finalize with the same (count desc, addr asc) total order the post-hoc
-//    pass uses; the geo table keeps an ordered per-country count map. Both
-//    merges are commutative sums, so the ranking inputs — and therefore the
-//    rendered rows — are independent of the shard layout.
+//    finalize with a (count desc, addr asc) total order; the geo table
+//    keeps an ordered per-country count map. Both merges are commutative
+//    sums, so the ranking inputs — and therefore the rendered rows — are
+//    independent of the shard layout.
 #pragma once
 
 #include <array>
@@ -39,7 +40,6 @@
 #include <unordered_set>
 
 #include "analysis/report.h"
-#include "prober/r2_sink.h"
 
 namespace orp::analysis {
 
@@ -66,9 +66,9 @@ struct IpExemplar {
 };
 
 /// Same selection rule for a text-valued example (URL / garbage string),
-/// with one post-hoc quirk preserved: an empty text (SOA/MX/AAAA answers
-/// classify as kString with no text) never fills the example slot, so the
-/// canonical example is the first *non-empty* value.
+/// with one quirk: an empty text (SOA/MX/AAAA answers classify as kString
+/// with no text) never fills the example slot, so the canonical example is
+/// the first *non-empty* value.
 struct TextExemplar {
   bool set = false;
   std::uint32_t resolver = 0;
@@ -123,8 +123,7 @@ struct PartialTables {
   std::uint64_t mal_ra0 = 0, mal_ra1 = 0, mal_aa0 = 0, mal_aa1 = 0;
   std::uint64_t mal_rcode_noerror = 0;
 
-  // §IV-C2: resolver country of each malicious R2 (replaces the post-hoc
-  // path's retained `malicious_views` vector).
+  // §IV-C2: resolver country of each malicious R2.
   std::map<std::string, std::uint64_t> malicious_by_country;
 
   EmptyQuestionSummary empty_question;  // §IV-B4
@@ -133,17 +132,21 @@ struct PartialTables {
   std::uint64_t priv_r2 = 0, priv_rfc1918 = 0, priv_cgn = 0;
   std::unordered_set<std::uint32_t> priv_unique;
 
-  /// Streamed behavior digest: the same commutative per-view fold as
-  /// `behavior_digest`, accumulated at observe time and merged by addition.
+  /// Order-insensitive digest over the behavioral content of the observed
+  /// views: a wrapping sum of one hash per view, merged by addition. A
+  /// resolver's R2 behavior (flags, rcode, answer form/correctness, rewrite
+  /// target) is a pure function of its profile and seed; the probe qname,
+  /// DNS txn id and arrival time are allocation-order artifacts, so only the
+  /// former are folded and the digest is equal across thread counts — the
+  /// pipeline's cross-shard determinism check (ScanOutcome::capture_digest).
   std::uint64_t digest = 0;
 
   /// Times an exemplar replacement fired (arrival-order dependent, so this
   /// is a thread-variant diagnostic, not table content).
   std::uint64_t exemplar_updates = 0;
 
-  /// Fold one classified view in. Exactly mirrors the per-view effect of
-  /// the analyze_* passes; allocation-free once every distinct value has
-  /// been seen (steady state — pinned by the alloc-budget suite).
+  /// Fold one classified view in. Allocation-free once every distinct
+  /// value has been seen (steady state — pinned by the alloc-budget suite).
   void observe(const R2View& v, const intel::ThreatDb& threats,
                const intel::GeoDb& geo, const intel::OrgDb& orgs);
 
@@ -151,10 +154,7 @@ struct PartialTables {
   /// exemplars keep the canonical-order winner. Apply in shard order.
   PartialTables& operator+=(const PartialTables& o);
 
-  /// Rank, attribute and package into the post-hoc result type. Byte-
-  /// identical to `analyze_scan` over the same views, except
-  /// `malicious.malicious_views` stays empty (its only in-tree consumer,
-  /// the geo table, is streamed directly).
+  /// Rank, attribute and package into the result type.
   ScanAnalysis finalize(const intel::OrgDb& orgs,
                         const intel::ThreatDb& threats) const;
 
@@ -163,12 +163,12 @@ struct PartialTables {
   std::size_t footprint_bytes() const noexcept;
 };
 
-/// The per-shard R2 sink: classifies each captured response into a reused
-/// scratch view (zero allocations steady-state) and folds it into the
-/// shard's PartialTables. Intel lookups use the shard's IntelBundle, which
-/// is built from campaign-global inputs only and therefore identical in
-/// every shard.
-class StreamingAnalyzer final : public prober::R2Sink {
+/// The per-shard R2 consumer behind the scanner's R2 callback: classifies
+/// each captured response into a reused scratch view (zero allocations
+/// steady-state) and folds it into the shard's PartialTables. Intel lookups
+/// use the shard's IntelBundle, which is built from campaign-global inputs
+/// only and therefore identical in every shard.
+class StreamingAnalyzer {
  public:
   StreamingAnalyzer(const zone::SubdomainScheme& scheme,
                     const intel::ThreatDb& threats, const intel::GeoDb& geo,
@@ -176,7 +176,7 @@ class StreamingAnalyzer final : public prober::R2Sink {
       : scheme_(scheme), threats_(threats), geo_(geo), orgs_(orgs) {}
 
   void on_r2(net::SimTime time, net::IPv4Addr resolver,
-             std::span<const std::uint8_t> payload) override;
+             std::span<const std::uint8_t> payload);
 
   PartialTables& tables() noexcept { return tables_; }
   const PartialTables& tables() const noexcept { return tables_; }

@@ -6,11 +6,11 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "analysis/flow.h"
 #include "analysis/streaming.h"
 #include "core/shard.h"
 #include "util/rng.h"
@@ -23,6 +23,10 @@ std::uint64_t ScanOutcome::expect(std::uint64_t paper_count) const {
 
 ScanOutcome run_measurement(const PaperYear& year,
                             const PipelineConfig& config) {
+  // build_population would read 0 as the full campaign while
+  // ScanOutcome::expect divides by scale_factor.
+  if (config.scale == 0)
+    throw std::invalid_argument("run_measurement: scale must be >= 1");
   ScanOutcome outcome;
   outcome.year = year.year;
   outcome.scale_factor = config.scale;
@@ -98,21 +102,14 @@ ScanOutcome run_measurement(const PaperYear& year,
     });
   }
 
-  // Streaming vs post-hoc. The default streams: every shard classifies its
-  // R2s at capture time into partial tables (and the behavior digest), so
-  // nothing per-response survives the scan. posthoc_analysis retains the
-  // views and reruns the legacy whole-campaign pass instead — the
-  // differential path the determinism suite compares against.
-  const bool streaming = !config.posthoc_analysis;
-  const bool retain = config.retain_views || config.posthoc_analysis;
-
+  // Every shard classifies its R2s at capture time into partial tables (and
+  // the behavior digest), so nothing per-response survives the scan.
   std::vector<ShardResult> results(shards);
   const auto run_shard = [&](std::uint32_t shard_id) {
     ShardContext ctx(outcome.spec, net_config, plan, shard_id, shards,
                      scan_config, config.obs,
                      progress != nullptr ? &progress->shard(shard_id)
-                                         : nullptr,
-                     streaming, retain);
+                                         : nullptr);
     results[shard_id] = ctx.run();
   };
   if (shards == 1) {
@@ -147,8 +144,8 @@ ScanOutcome run_measurement(const PaperYear& year,
     std::fprintf(stderr, "%s\n", line.c_str());
   }
 
-  // 5. Deterministic merge, in shard order for the summed counters and in
-  // canonical (resolver-address) order for the views and capture records.
+  // 5. Deterministic merge, in shard order for the summed counters and the
+  // partial tables.
   outcome.scan = results[0].scan;
   outcome.auth = results[0].auth;
   outcome.clusters = results[0].clusters;
@@ -157,9 +154,6 @@ ScanOutcome run_measurement(const PaperYear& year,
   outcome.metrics = std::move(results[0].metrics);
   outcome.traces = std::move(results[0].traces);
   analysis::PartialTables tables = std::move(results[0].tables);
-  std::vector<std::vector<analysis::R2View>> view_shards;
-  view_shards.reserve(shards);
-  view_shards.push_back(std::move(results[0].views));
   for (std::uint32_t i = 1; i < shards; ++i) {
     outcome.scan += results[i].scan;
     outcome.auth += results[i].auth;
@@ -169,38 +163,19 @@ ScanOutcome run_measurement(const PaperYear& year,
     outcome.metrics += results[i].metrics;
     outcome.traces.merge(std::move(results[i].traces));
     tables += results[i].tables;
-    view_shards.push_back(std::move(results[i].views));
   }
-  outcome.capture.sort_canonical();
   outcome.traces.sort_canonical();
   outcome.cluster_loads = outcome.auth.cluster_loads;
   outcome.sim_duration_seconds = outcome.scan.duration().as_seconds();
 
-  if (retain)
-    outcome.views = analysis::merge_views(std::move(view_shards));
-  outcome.capture_digest = streaming
-                               ? tables.digest
-                               : analysis::behavior_digest(outcome.views);
-  if (streaming) {
-    outcome.analysis_bytes = tables.footprint_bytes();
-  } else {
-    std::size_t bytes = outcome.capture.arena_bytes() +
-                        outcome.views.capacity() * sizeof(analysis::R2View);
-    for (const analysis::R2View& v : outcome.views)
-      bytes += v.answer_text.capacity();
-    outcome.analysis_bytes = bytes;
-  }
+  outcome.capture_digest = tables.digest;
+  outcome.analysis_bytes = tables.footprint_bytes();
 
   // 6. Finalize against the campaign-global intel databases (identical to
   // every shard's bundle — build_intel uses only global inputs).
-  if (config.analyze) {
-    const IntelBundle intel =
-        build_intel(outcome.spec, plan, measurement_auth_address());
-    outcome.analysis =
-        streaming ? tables.finalize(intel.orgs, intel.threats)
-                  : analysis::analyze_scan(outcome.views, intel.threats,
-                                           intel.geo, intel.orgs);
-  }
+  const IntelBundle intel =
+      build_intel(outcome.spec, plan, measurement_auth_address());
+  outcome.analysis = tables.finalize(intel.orgs, intel.threats);
   return outcome;
 }
 

@@ -6,6 +6,11 @@
 // global planting plan, S isolated event loops scanning disjoint slices of
 // the one ZMap permutation, merged deterministically. The merged tables and
 // capture digest are byte-identical for every thread count.
+//
+// Analysis has one path: each shard classifies every R2 at capture time
+// into its analysis::PartialTables (analysis/streaming.h), the pipeline
+// merges the partials in shard order and finalizes once. No per-response
+// state outlives the scan.
 #pragma once
 
 #include <cstdint>
@@ -20,16 +25,12 @@
 namespace orp::core {
 
 struct PipelineConfig {
-  /// 1/scale sample of the full campaign. 1 = the paper's full 3.7B-probe
-  /// scan — hours of CPU, but no longer tens of GB of RAM: the default
-  /// streaming path classifies each R2 at capture time and keeps only the
-  /// partial tables, so peak memory is O(shards x distinct values), not
-  /// O(probes). Retaining the per-response views/pcap (retain_views /
-  /// posthoc_analysis below) restores the old O(probes) envelope.
+  /// 1/scale sample of the full campaign (must be >= 1). 1 = the paper's
+  /// full 3.7B-probe scan — hours of CPU, but not tens of GB of RAM: each
+  /// R2 is classified at capture time and only the partial tables are
+  /// kept, so peak memory is O(shards x distinct values), not O(probes).
   std::uint64_t scale = 1024;
   std::uint64_t seed = 42;
-  /// Skip the analysis pass (benches that only need raw scan stats).
-  bool analyze = true;
   /// Uniform packet-loss probability injected into the simulated network
   /// (0 = the calibrated default; loss is for robustness experiments).
   double loss_rate = 0.0;
@@ -52,19 +53,6 @@ struct PipelineConfig {
   /// by default; enabling any of them changes no simulated behavior — the
   /// tables and digests stay byte-identical (instrumentation is passive).
   obs::ObsConfig obs;
-  /// Debugging knob: retain every R2 (scanner R2Store + capture arena) and
-  /// fill `ScanOutcome::views` in canonical order. Off by default — the
-  /// streaming analyzer consumes each response at capture time, so the
-  /// default campaign materializes no per-response state. Turn on for
-  /// pcap/CSV export (examples/orpscan) or view-level debugging.
-  bool retain_views = false;
-  /// Differential-testing knob: compute the analysis with the legacy
-  /// post-hoc pass (classify_all over retained views + analyze_scan) instead
-  /// of merging the shards' streamed partial tables. Implies retention.
-  /// The streaming and post-hoc results are byte-identical — the
-  /// determinism suite pins this — so there is no reason to turn this on
-  /// outside tests and the comparison bench.
-  bool posthoc_analysis = false;
   /// Stream-transport experiment (off by default): when `udp_limit` is
   /// non-zero, truncating resolver profiles cap UDP answers at that many
   /// bytes and set TC=1; when `tcp_fallback` is on, those hosts also listen
@@ -82,22 +70,17 @@ struct ScanOutcome {
   authns::AuthStats auth;             // authns-side counters (Q2, R1)
   zone::ClusterStats clusters;        // Fig. 3 lifecycle
   std::uint64_t cluster_loads = 0;    // zone loads at the auth server(s)
-  /// Merged views in canonical resolver order — populated only when the
-  /// config retained them (retain_views / posthoc_analysis); empty on the
-  /// default streaming path.
-  std::vector<analysis::R2View> views;
   analysis::ScanAnalysis analysis;
-  /// Merged prober-vantage capture. Counts and digest are always complete;
-  /// payload records are retained only under retain_views/posthoc_analysis.
+  /// Merged prober-vantage capture: packet counts and the raw digest (no
+  /// payload records — per-response consumers use the scanner's R2 hook).
   net::CaptureStore capture;
-  /// Order-insensitive digest of the R2s' behavioral content — equal across
-  /// thread counts (the shard-determinism check). Streamed per shard on the
-  /// default path; identical to behavior_digest over the retained views.
+  /// Order-insensitive digest of the R2s' behavioral content
+  /// (PartialTables::digest) — equal across thread counts (the
+  /// shard-determinism check).
   std::uint64_t capture_digest = 0;
   /// Bytes retained to produce `analysis`: the merged partial-table
-  /// footprint on the streaming path, or the capture arena + materialized
-  /// view buffer under posthoc_analysis. The memory axis BENCH_analysis.json
-  /// tracks (whole-process RSS is dominated by the simulated internet).
+  /// footprint. The memory axis BENCH_analysis.json tracks (whole-process
+  /// RSS is dominated by the simulated internet).
   std::size_t analysis_bytes = 0;
   std::uint64_t events_executed = 0;  // summed across shard loops
   double sim_duration_seconds = 0;    // simulated wall-clock of the campaign
@@ -113,6 +96,7 @@ struct ScanOutcome {
 };
 
 /// Run one campaign. `year` is normally paper_2013() or paper_2018().
+/// Throws std::invalid_argument when `config.scale` is 0.
 ScanOutcome run_measurement(const PaperYear& year, const PipelineConfig& config);
 
 }  // namespace orp::core

@@ -1,5 +1,7 @@
 #include "core/shard.h"
 
+#include <stdexcept>
+
 namespace orp::core {
 
 namespace {
@@ -34,39 +36,26 @@ ShardContext::ShardContext(const PopulationSpec& spec,
                             shard_count),
                internet_.scheme(), &internet_.codec_scratch()),
       obs_(obs_config),
-      retain_r2_(retain_r2) {
+      analyzer_(internet_.scheme(), internet_.threats(), internet_.geo(),
+                internet_.orgs()) {
+  // Both flags stay for positional callers; only (true, false) still runs.
+  if (!streaming || retain_r2)
+    throw std::invalid_argument("ShardContext: only streaming=true, "
+                                "retain_r2=false is supported");
   capture_.attach(internet_.network(), internet_.prober_address());
-  capture_.set_retain_payloads(retain_r2_);
-  scanner_.set_retain_responses(retain_r2_);
+  capture_.set_retain_payloads(false);
   scanner_.set_rotate_callback([this](std::uint32_t cluster) {
     internet_.auth().load_cluster(cluster);
   });
-
   // Capture-time classification: the shard's IntelBundle is built from
   // campaign-global inputs only (see internet_builder.cpp), so per-shard
-  // lookups are identical to the post-hoc pass over the merged views.
-  if (streaming) {
-    analyzer_ = std::make_unique<analysis::StreamingAnalyzer>(
-        internet_.scheme(), internet_.threats(), internet_.geo(),
-        internet_.orgs());
-    scanner_.set_r2_sink(analyzer_.get());
-  }
+  // lookups agree with the campaign-level finalize.
+  scanner_.set_r2_callback([this](net::SimTime t, net::IPv4Addr from,
+                                  std::span<const std::uint8_t> payload) {
+    analyzer_.on_r2(t, from, payload);
+  });
 
   const ShardSlice slice = shard_slice(spec.raw_steps, shard_id, shard_count);
-  if (retain_r2_) {
-    // Pin steady-state storage from the campaign plan: the hosts planted in
-    // this shard's permutation slice bound how many R2 responses the
-    // scanner and capture vantage can retain, so the record vectors and
-    // payload arena never reallocate mid-scan. The streaming path retains
-    // nothing, so it skips the reservations entirely.
-    std::size_t planted = 0;
-    for (const PlannedHost& h : plan.hosts)
-      if (slice.contains(h.perm_index)) ++planted;
-    // Responders answer roughly once each; x2 covers retries/truncation
-    // retransmits, and ~256 wire bytes covers a typical R2.
-    capture_.reserve(planted * 2, planted * 256);
-    scanner_.reserve_responses(planted * 2);
-  }
 
   obs_.beacon = beacon;
   if (obs_.metrics.enabled()) {
@@ -96,11 +85,8 @@ ShardResult ShardContext::run() {
   result.auth = internet_.auth().stats();
   result.clusters = scanner_.clusters().stats();
   result.events_executed = internet_.loop().executed();
-  if (retain_r2_)
-    result.views =
-        analysis::classify_all(scanner_.responses(), internet_.scheme());
   if (obs_.metrics.enabled()) collect_metrics();
-  if (analyzer_ != nullptr) result.tables = std::move(analyzer_->tables());
+  result.tables = std::move(analyzer_.tables());
   result.capture = std::move(capture_);
   result.metrics = std::move(obs_.metrics);
   result.traces = std::move(obs_.tracer);
@@ -181,14 +167,12 @@ void ShardContext::collect_metrics() {
   m.add(b.trace_flows_sampled, obs_.tracer.flow_count());
   m.add(b.trace_records, obs_.tracer.records().size());
 
-  if (analyzer_ != nullptr) {
-    const analysis::PartialTables& t = analyzer_->tables();
-    m.add(b.analysis_r2_classified, t.r2_total);
-    m.add(b.analysis_r2_incorrect, t.answers.incorrect);
-    m.add(b.analysis_r2_malicious, t.mal_r2);
-    m.add(b.analysis_exemplar_updates, t.exemplar_updates);
-    m.set_max(b.analysis_table_bytes, t.footprint_bytes());
-  }
+  const analysis::PartialTables& t = analyzer_.tables();
+  m.add(b.analysis_r2_classified, t.r2_total);
+  m.add(b.analysis_r2_incorrect, t.answers.incorrect);
+  m.add(b.analysis_r2_malicious, t.mal_r2);
+  m.add(b.analysis_exemplar_updates, t.exemplar_updates);
+  m.set_max(b.analysis_table_bytes, t.footprint_bytes());
 }
 
 }  // namespace orp::core

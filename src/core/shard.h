@@ -10,13 +10,14 @@
 // Each shard scans the slice [i*N/S, (i+1)*N/S) of the one global ZMap
 // permutation at rate_pps/S, so every shard's slice spans the same simulated
 // campaign wall-clock as the unsharded scan.
+//
+// The shard's StreamingAnalyzer hangs off the scanner's R2 callback, so every
+// R2 is classified at capture time into the shard's PartialTables and no
+// response payload is kept: O(1) shard memory instead of O(responses).
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "analysis/flow.h"
 #include "analysis/streaming.h"
 #include "core/internet_builder.h"
 #include "net/capture_store.h"
@@ -31,11 +32,8 @@ struct ShardResult {
   authns::AuthStats auth;
   zone::ClusterStats clusters;
   std::uint64_t events_executed = 0;
-  /// Classified R2 views — populated only when the campaign retains R2
-  /// payloads (retain_r2); the streaming path never materializes them.
-  std::vector<analysis::R2View> views;
-  /// Streamed partial tables — populated on the streaming path; the
-  /// pipeline folds them in shard order with `operator+=`.
+  /// Streamed partial tables; the pipeline folds them in shard order with
+  /// `operator+=`.
   analysis::PartialTables tables;
   net::CaptureStore capture;
   obs::Metrics metrics;     // inert unless the campaign enabled metrics
@@ -52,18 +50,16 @@ class ShardContext {
   /// stream); `beacon`, when given, is the campaign-owned progress slot this
   /// shard publishes into.
   ///
-  /// `streaming` attaches a StreamingAnalyzer to the scanner so every R2 is
-  /// classified at capture time into this shard's PartialTables; `retain_r2`
-  /// keeps R2 payloads in the scanner's R2Store and the capture arena (the
-  /// post-hoc / differential-testing path). The default pipeline streams
-  /// without retention — O(1) shard memory instead of O(responses).
+  /// `streaming` and `retain_r2` only accept (true, false), the one mode
+  /// left: existing positional callers still pass both; anything else
+  /// throws std::invalid_argument.
   ShardContext(const PopulationSpec& spec, const InternetConfig& net_config,
                const InternetPlan& plan, std::uint32_t shard_id,
                std::uint32_t shard_count,
                const prober::ScanConfig& scan_config,
                const obs::ObsConfig& obs_config = {},
                obs::ShardBeacon* beacon = nullptr, bool streaming = true,
-               bool retain_r2 = true);
+               bool retain_r2 = false);
 
   ShardContext(const ShardContext&) = delete;
   ShardContext& operator=(const ShardContext&) = delete;
@@ -76,7 +72,7 @@ class ShardContext {
 
  private:
   /// End-of-run sweep: fold the stack's passive counters (network totals,
-  /// pool occupancy, capture arena, scan/auth/resolver stats) into the
+  /// pool occupancy, capture counts, scan/auth/resolver stats) into the
   /// shard's Metrics instance through the builtin handles.
   void collect_metrics();
 
@@ -84,9 +80,8 @@ class ShardContext {
   prober::Scanner scanner_;
   net::CaptureStore capture_;
   obs::ShardObs obs_;
-  bool retain_r2_ = true;
-  /// Capture-time classifier; null when the shard runs post-hoc only.
-  std::unique_ptr<analysis::StreamingAnalyzer> analyzer_;
+  /// Capture-time classifier behind the scanner's R2 callback.
+  analysis::StreamingAnalyzer analyzer_;
 };
 
 }  // namespace orp::core

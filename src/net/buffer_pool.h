@@ -11,7 +11,7 @@
 // Threading: shards are single-threaded by construction (one event loop per
 // shard, pool owned by the shard's Network), so the refcount is a plain
 // integer. A PayloadRef must never cross shards; merged artifacts
-// (CaptureStore arenas, R2Store chunks) copy bytes out instead.
+// (CaptureStore arenas) copy bytes out instead.
 #pragma once
 
 #include <array>

@@ -273,10 +273,7 @@ void Scanner::on_datagram_fallback(const net::Datagram& d) {
 
 void Scanner::classify(net::IPv4Addr from,
                        std::span<const std::uint8_t> payload) {
-  if (retain_responses_)
-    responses_.add(network_.loop().now(), from, payload);
-  if (r2_sink_ != nullptr)
-    r2_sink_->on_r2(network_.loop().now(), from, payload);
+  if (on_r2_) on_r2_(network_.loop().now(), from, payload);
 }
 
 std::uint32_t Scanner::find_retry(net::ConnId c) const noexcept {

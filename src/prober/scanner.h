@@ -24,8 +24,6 @@
 #include "obs/trace.h"
 #include "prober/outstanding_ring.h"
 #include "prober/permutation.h"
-#include "prober/r2_sink.h"
-#include "prober/r2_store.h"
 #include "prober/rate_limiter.h"
 #include "zone/cluster.h"
 
@@ -128,6 +126,13 @@ class Scanner : private net::StreamHandler {
   /// Invoked when the subdomain planner rotates to a new cluster; the
   /// pipeline wires this to AuthServer::load_cluster.
   using RotateCallback = std::function<void(std::uint32_t cluster)>;
+  /// Invoked once per classified R2 (the capture-time hook the streaming
+  /// analyzer and the per-response exporters hang off). `payload` borrows
+  /// the delivery buffer — consume it during the call; do not retain the
+  /// span.
+  using R2Callback = std::function<void(
+      net::SimTime time, net::IPv4Addr resolver,
+      std::span<const std::uint8_t> payload)>;
 
   /// `codec_scratch`, when given, is the per-shard encode buffer probes are
   /// built in (shards are single-threaded, so sharing it is race-free); the
@@ -137,6 +142,9 @@ class Scanner : private net::StreamHandler {
           dns::EncodeBuffer* codec_scratch = nullptr);
 
   void set_rotate_callback(RotateCallback cb) { on_rotate_ = std::move(cb); }
+  /// The scanner keeps no response payloads; whoever needs them (tables,
+  /// CSV/pcap export, tests) takes them here, in arrival order.
+  void set_r2_callback(R2Callback cb) { on_r2_ = std::move(cb); }
 
   /// Begin scanning; `done` fires after the last probe's response window.
   void start(DoneCallback done);
@@ -157,20 +165,7 @@ class Scanner : private net::StreamHandler {
     }
   }
 
-  /// Attach a capture-time R2 consumer (may be null). The sink sees every
-  /// response payload in arrival order, before any retention decision — the
-  /// streaming analyzer classifies and folds it into the shard's partial
-  /// tables right here, so the campaign needs no post-hoc view pass.
-  void set_r2_sink(R2Sink* sink) noexcept { r2_sink_ = sink; }
-
-  /// Whether R2 payloads are retained in the R2Store (default: yes). The
-  /// streaming pipeline turns retention off — the sink has already consumed
-  /// each payload — collapsing the scanner's O(responses) memory to O(1).
-  /// Grouping stats (matched/unmatched/empty-question) are unaffected.
-  void set_retain_responses(bool retain) noexcept { retain_responses_ = retain; }
-
   const ScanStats& stats() const noexcept { return stats_; }
-  const R2Store& responses() const noexcept { return responses_; }
   const zone::ClusterManager& clusters() const noexcept { return clusters_; }
   const RateLimiter& limiter() const noexcept { return limiter_; }
   /// High-water mark of the unanswered-probe count (Table II's in-flight
@@ -179,22 +174,14 @@ class Scanner : private net::StreamHandler {
   const OutstandingRing& outstanding() const noexcept { return outstanding_; }
   net::IPv4Addr address() const noexcept { return addr_; }
 
-  /// Release response storage once analysis has consumed it.
-  R2Store take_responses() { return std::move(responses_); }
-
-  /// Pre-size the R2 record list from a campaign-plan estimate of how many
-  /// responders this shard will hear from.
-  void reserve_responses(std::size_t n) { responses_.reserve(n); }
-
  private:
   void send_batch();
   void send_one_probe(net::IPv4Addr target);
   void flush_pending();
   void on_datagram(const net::Datagram& d);
   void on_batch(const net::DatagramBatch& b);
-  /// Hand one response to retention + the streaming sink — the single
-  /// classification point of a flow (in fallback mode, once its TCP retry
-  /// has settled).
+  /// Hand one response to the R2 callback — the single classification
+  /// point of a flow (in fallback mode, once its TCP retry has settled).
   void classify(net::IPv4Addr from, std::span<const std::uint8_t> payload);
   /// Outcome of grouping one response to its probe by qname (§III-B).
   struct R2Match {
@@ -245,6 +232,7 @@ class Scanner : private net::StreamHandler {
   CyclicPermutation permutation_;
   RateLimiter limiter_;
   RotateCallback on_rotate_;
+  R2Callback on_r2_;
   DoneCallback done_;
 
   // Packed ids of sent probes in send order; the reap sweep pops expired
@@ -291,9 +279,6 @@ class Scanner : private net::StreamHandler {
   bool sending_done_ = false;
   bool finished_ = false;
   ScanStats stats_;
-  R2Store responses_;
-  R2Sink* r2_sink_ = nullptr;
-  bool retain_responses_ = true;
   obs::FlowTracer* tracer_ = nullptr;
   /// Next global permutation index the tracer would sample — probes below
   /// it skip the sampling check with a single compare. Indexes only grow

@@ -96,8 +96,8 @@ Message full_response(const zone::SubdomainScheme& scheme) {
 
 // R2Record::payload borrows the caller's wire buffer, so every call site
 // must keep `wire` alive for as long as the record is used.
-prober::R2Record record_for(const std::vector<std::uint8_t>& wire) {
-  return prober::R2Record{net::SimTime{}, net::IPv4Addr(8, 8, 8, 8), wire};
+analysis::R2Record record_for(const std::vector<std::uint8_t>& wire) {
+  return analysis::R2Record{net::SimTime{}, net::IPv4Addr(8, 8, 8, 8), wire};
 }
 
 TEST(AllocBudget, EncodeIntoWarmScratchAllocatesNothing) {

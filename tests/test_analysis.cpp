@@ -5,6 +5,7 @@
 #include "analysis/report.h"
 #include "analysis/streaming.h"
 #include "dns/builder.h"
+#include "util/rng.h"
 
 namespace orp::analysis {
 namespace {
@@ -20,8 +21,8 @@ const zone::SubdomainScheme& scheme() {
 // long as the OwnedR2 lives (the full expression, for temporaries).
 struct OwnedR2 {
   std::vector<std::uint8_t> wire;
-  prober::R2Record rec;
-  operator const prober::R2Record&() const { return rec; }  // NOLINT
+  R2Record rec;
+  operator const R2Record&() const { return rec; }  // NOLINT
 };
 
 OwnedR2 record_from(const dns::Message& msg,
@@ -189,9 +190,31 @@ std::vector<R2View> synthetic_views() {
   return views;
 }
 
+/// Empty intel databases for the tables that need no attribution.
+struct NoIntel {
+  intel::ThreatDb threats;
+  intel::GeoDb geo;
+  intel::OrgDb orgs;
+  NoIntel() {
+    geo.build();
+    orgs.build();
+  }
+};
+const NoIntel& no_intel() {
+  static const NoIntel n;
+  return n;
+}
+
+/// Every per-table test below reaches its table through the one
+/// accumulator: analyze_scan folds the views through PartialTables.
+ScanAnalysis analyze(std::span<const R2View> views) {
+  const NoIntel& n = no_intel();
+  return analyze_scan(views, n.threats, n.geo, n.orgs);
+}
+
 TEST(AnswerAnalysis, TableThreeShape) {
   const auto views = synthetic_views();
-  const AnswerBreakdown b = analyze_answers(views);
+  const AnswerBreakdown b = analyze(views).answers;
   EXPECT_EQ(b.r2, 11u);  // empty-question excluded
   EXPECT_EQ(b.without_answer, 3u);
   EXPECT_EQ(b.correct, 4u);
@@ -201,7 +224,7 @@ TEST(AnswerAnalysis, TableThreeShape) {
 
 TEST(HeaderAnalysis, RaTable) {
   const auto views = synthetic_views();
-  const FlagTable t = analyze_ra(views);
+  const FlagTable t = analyze(views).ra;
   EXPECT_EQ(t.bit1.correct, 4u);
   EXPECT_EQ(t.bit0.incorrect, 4u);
   EXPECT_EQ(t.bit0.without_answer, 3u);
@@ -210,7 +233,7 @@ TEST(HeaderAnalysis, RaTable) {
 
 TEST(HeaderAnalysis, AaTable) {
   const auto views = synthetic_views();
-  const FlagTable t = analyze_aa(views);
+  const FlagTable t = analyze(views).aa;
   EXPECT_EQ(t.bit1.incorrect, 2u);
   EXPECT_EQ(t.bit1.without_answer, 0u);
   EXPECT_DOUBLE_EQ(t.bit1.err_percent(), 100.0);
@@ -218,7 +241,7 @@ TEST(HeaderAnalysis, AaTable) {
 
 TEST(HeaderAnalysis, RcodeTable) {
   const auto views = synthetic_views();
-  const RcodeTable t = analyze_rcodes(views);
+  const RcodeTable t = analyze(views).rcodes;
   EXPECT_EQ(t.row(dns::Rcode::kNoError).with_answer, 8u);
   EXPECT_EQ(t.row(dns::Rcode::kRefused).without_answer, 3u);
   EXPECT_EQ(t.error_rcode_with_answer(), 0u);
@@ -226,7 +249,7 @@ TEST(HeaderAnalysis, RcodeTable) {
 
 TEST(IncorrectAnswers, FormsAndUniques) {
   const auto views = synthetic_views();
-  const IncorrectSummary s = analyze_incorrect(views);
+  const IncorrectSummary s = analyze(views).incorrect;
   EXPECT_EQ(s.ip.r2, 2u);
   EXPECT_EQ(s.ip.unique, 1u);  // both point at 208.91.197.91
   EXPECT_EQ(s.url.r2, 1u);
@@ -250,7 +273,7 @@ TEST(IncorrectAnswers, TopKRankingAndAttribution) {
   priv.answer_ip = net::IPv4Addr(192, 168, 1, 1);
   views.push_back(priv);
 
-  const auto top = top_incorrect_ips(views, 10, orgs, threats);
+  const auto top = analyze_scan(views, threats, no_intel().geo, orgs).top10;
   ASSERT_EQ(top.size(), 2u);
   EXPECT_EQ(top[0].addr, confluence);
   EXPECT_EQ(top[0].count, 2u);
@@ -265,14 +288,16 @@ TEST(Malicious, CategoriesAndFlagsAndRcode) {
   threats.add_report(*net::IPv4Addr::parse("208.91.197.91"),
                      intel::ThreatCategory::kMalware);
   const auto views = synthetic_views();
-  const MaliciousSummary s = analyze_malicious(views, threats);
+  const ScanAnalysis a =
+      analyze_scan(views, threats, no_intel().geo, no_intel().orgs);
+  const MaliciousSummary& s = a.malicious;
   EXPECT_EQ(s.total_r2, 2u);
   EXPECT_EQ(s.total_ips, 1u);
   EXPECT_EQ(s.categories[0].r2, 2u);  // malware is category 0
   EXPECT_EQ(s.ra0, 2u);
   EXPECT_EQ(s.aa1, 2u);
   EXPECT_EQ(s.rcode_noerror, 2u);
-  EXPECT_EQ(s.malicious_views.size(), 2u);
+  EXPECT_EQ(a.geo.total, 2u);  // every malicious R2 reaches the geo table
 }
 
 TEST(Malicious, CorrectAnswersNeverMalicious) {
@@ -282,7 +307,8 @@ TEST(Malicious, CorrectAnswersNeverMalicious) {
   threats.add_report(net::IPv4Addr(50, 1, 1, 0),
                      intel::ThreatCategory::kMalware);
   const auto views = synthetic_views();
-  const MaliciousSummary s = analyze_malicious(views, threats);
+  const MaliciousSummary s =
+      analyze_scan(views, threats, no_intel().geo, no_intel().orgs).malicious;
   EXPECT_EQ(s.total_r2, 0u);
 }
 
@@ -295,8 +321,7 @@ TEST(Geo, CountsByResolverCountry) {
   threats.add_report(*net::IPv4Addr::parse("208.91.197.91"),
                      intel::ThreatCategory::kMalware);
   const auto views = synthetic_views();
-  const MaliciousSummary mal = analyze_malicious(views, threats);
-  const GeoSummary g = malicious_by_country(mal.malicious_views, geo);
+  const GeoSummary g = analyze_scan(views, threats, geo, no_intel().orgs).geo;
   EXPECT_EQ(g.total, 2u);
   EXPECT_EQ(g.country_count(), 2u);
   EXPECT_EQ(g.countries[0].r2, 1u);
@@ -325,7 +350,9 @@ TEST(EmptyQuestion, SubAnalysis) {
     v.has_question = true;
     views.push_back(v);
   }
-  const EmptyQuestionSummary s = analyze_empty_question(views, orgs);
+  const EmptyQuestionSummary s =
+      analyze_scan(views, no_intel().threats, no_intel().geo, orgs)
+          .empty_question;
   EXPECT_EQ(s.total, 2u);
   EXPECT_EQ(s.with_answer, 1u);
   EXPECT_EQ(s.private_answers, 1u);
@@ -346,7 +373,7 @@ TEST(PrivateRedirects, CountsAndClassifiesPrivateSpace) {
   cpe.answer_ip = net::IPv4Addr(100, 64, 7, 7);   // carrier-grade NAT
   views.push_back(cpe);
 
-  const PrivateRedirectSummary s = analyze_private_redirects(views);
+  const PrivateRedirectSummary s = analyze(views).private_redirects;
   EXPECT_EQ(s.r2, 3u);
   EXPECT_EQ(s.unique_ips, 2u);
   EXPECT_EQ(s.rfc1918, 2u);
@@ -356,7 +383,7 @@ TEST(PrivateRedirects, CountsAndClassifiesPrivateSpace) {
 
 TEST(PrivateRedirects, PublicWrongAnswersExcluded) {
   const auto views = synthetic_views();  // wrong answers all public
-  const PrivateRedirectSummary s = analyze_private_redirects(views);
+  const PrivateRedirectSummary s = analyze(views).private_redirects;
   EXPECT_EQ(s.r2, 0u);
   EXPECT_EQ(s.share_of_incorrect(0), 0.0);
 }
@@ -381,8 +408,7 @@ std::string rendered(const ScanAnalysis& a) {
 }
 
 /// Synthetic views in canonical order (the stable resolver-address sort the
-/// pipeline applies before the post-hoc pass; the streaming exemplar rule
-/// assumes it — see streaming.h).
+/// exemplar rule is defined over — see streaming.h).
 std::vector<R2View> canonical_views() {
   auto views = synthetic_views();
   std::stable_sort(views.begin(), views.end(),
@@ -411,26 +437,26 @@ struct StreamingIntel {
   }
 };
 
-TEST(StreamingTables, ObserveThenFinalizeMatchesAnalyzeScan) {
+TEST(StreamingTables, ObserveThenFinalizeMatchesFrozenPosthocGolden) {
+  // The rendered tables and behavior digest of this corpus, recorded from
+  // the whole-corpus pass (one function per table plus a separate digest
+  // fold) before the accumulator became the only implementation.
+  constexpr std::uint64_t kRenderedGolden = 0xbb0de9a5196e4d23ULL;
+  constexpr std::uint64_t kDigestGolden = 0xd2f05e76426ce217ULL;
   const StreamingIntel intel;
   const auto views = canonical_views();
-  const ScanAnalysis posthoc =
-      analyze_scan(views, intel.threats, intel.geo, intel.orgs);
 
   PartialTables t;
   for (const R2View& v : views)
     t.observe(v, intel.threats, intel.geo, intel.orgs);
   const ScanAnalysis streamed = t.finalize(intel.orgs, intel.threats);
 
-  EXPECT_EQ(rendered(streamed), rendered(posthoc));
+  EXPECT_EQ(util::fnv1a64(rendered(streamed)), kRenderedGolden);
+  EXPECT_EQ(t.digest, kDigestGolden);
   EXPECT_EQ(t.r2_total, views.size());
-  EXPECT_EQ(t.digest, behavior_digest(views));
-  // The one intentional divergence: the streamed result never retains the
-  // malicious views themselves (their only consumer, the geo table, is
-  // streamed directly).
-  EXPECT_TRUE(streamed.malicious.malicious_views.empty());
-  EXPECT_EQ(posthoc.malicious.malicious_views.size(),
-            posthoc.malicious.total_r2);
+  EXPECT_EQ(rendered(analyze_scan(views, intel.threats, intel.geo,
+                                  intel.orgs)),
+            rendered(streamed));
 }
 
 TEST(StreamingTables, ShardSplitAndMergeIsLayoutInvariant) {
@@ -493,9 +519,9 @@ TEST(StreamingTables, ExemplarKeepsCanonicalFirstAcrossMergeOrder) {
 }
 
 TEST(StreamingTables, EmptyTextNeverFillsAnExampleSlot) {
-  // SOA/MX/AAAA answers classify as kString with empty text; the post-hoc
-  // example is the first *non-empty* text in canonical order, so an earlier
-  // empty one must not claim the slot.
+  // SOA/MX/AAAA answers classify as kString with empty text; the example
+  // is the first *non-empty* text in canonical order, so an earlier empty
+  // one must not claim the slot.
   const intel::ThreatDb threats;
   intel::GeoDb geo;
   geo.build();
@@ -514,10 +540,10 @@ TEST(StreamingTables, EmptyTextNeverFillsAnExampleSlot) {
   PartialTables t;
   for (const R2View& v : views) t.observe(v, threats, geo, orgs);
   const ScanAnalysis streamed = t.finalize(orgs, threats);
-  const ScanAnalysis posthoc = analyze_scan(views, threats, geo, orgs);
   EXPECT_EQ(streamed.incorrect.str.example, "wild");
-  EXPECT_EQ(streamed.incorrect.str.example, posthoc.incorrect.str.example);
-  EXPECT_EQ(streamed.incorrect.str.unique, posthoc.incorrect.str.unique);
+  EXPECT_EQ(streamed.incorrect.str.r2, 2u);
+  // The empty text is still a distinct value of its own.
+  EXPECT_EQ(streamed.incorrect.str.unique, 2u);
 }
 
 // ---- FlowGrouper --------------------------------------------------------------------

@@ -270,6 +270,25 @@ TEST(U64Set, EraseFromTheMiddleOfAProbeRunKeepsTheRunReachable) {
 
 // ---- Scanner over a tiny handcrafted internet --------------------------------------
 
+/// Everything a scanner hands to its R2 callback, payloads copied out (the
+/// callback only borrows them), in arrival order.
+struct R2Log {
+  struct Entry {
+    net::IPv4Addr resolver;
+    std::vector<std::uint8_t> payload;
+  };
+  std::vector<Entry> entries;
+
+  explicit R2Log(Scanner& scanner) {
+    scanner.set_r2_callback([this](net::SimTime, net::IPv4Addr from,
+                                   std::span<const std::uint8_t> payload) {
+      entries.push_back({from, {payload.begin(), payload.end()}});
+    });
+  }
+  R2Log(const R2Log&) = delete;
+  R2Log& operator=(const R2Log&) = delete;
+};
+
 class ScannerFixture : public ::testing::Test {
  protected:
   ScannerFixture()
@@ -377,13 +396,14 @@ TEST_F(ScannerFixture, CollectsAndMatchesResponses) {
 
   Scanner scanner(net, net::IPv4Addr(132, 170, 3, 44), scan_config(1, 5000),
                   scheme);
+  const R2Log r2s(scanner);
   scanner.start([] {});
   loop.run();
   const ScanStats& s = scanner.stats();
   EXPECT_EQ(s.r2_received, 3u);
   EXPECT_EQ(s.r2_matched, 3u);
   EXPECT_EQ(s.r2_empty_question, 0u);
-  EXPECT_EQ(scanner.responses().size(), 3u);
+  EXPECT_EQ(r2s.entries.size(), 3u);
   // Two honest resolvers contacted the auth server; the refuser did not.
   EXPECT_EQ(auth.stats().queries_received, 2u);
 }
@@ -475,6 +495,7 @@ TEST_F(ScannerFixture, TcRetryClassifiesTheFullTcpAnswerOnce) {
   ScanConfig cfg = scan_config(1, 2000);
   cfg.tcp_fallback = true;
   Scanner scanner(net, net::IPv4Addr(132, 170, 3, 44), cfg, scheme);
+  const R2Log r2s(scanner);
   bool done = false;
   scanner.start([&] { done = true; });
   loop.run();
@@ -486,10 +507,10 @@ TEST_F(ScannerFixture, TcRetryClassifiesTheFullTcpAnswerOnce) {
   EXPECT_EQ(s.tcp_retries, 1u);
   EXPECT_EQ(s.tcp_answers, 1u);
   EXPECT_EQ(s.tcp_failures, 0u);
-  ASSERT_EQ(scanner.responses().size(), 1u);
-  EXPECT_EQ(scanner.responses()[0].resolver, target);
+  ASSERT_EQ(r2s.entries.size(), 1u);
+  EXPECT_EQ(r2s.entries[0].resolver, target);
   // The classified payload is the full TCP answer: TC clear, answer present.
-  const auto decoded = dns::decode(scanner.responses()[0].payload);
+  const auto decoded = dns::decode(r2s.entries[0].payload);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_FALSE(decoded->header.flags.tc);
   EXPECT_EQ(decoded->answers.size(), 1u);
@@ -503,6 +524,7 @@ TEST_F(ScannerFixture, TcThenConnectionRefusedClassifiesTheTruncatedUdp) {
   ScanConfig cfg = scan_config(1, 2000);
   cfg.tcp_fallback = true;
   Scanner scanner(net, net::IPv4Addr(132, 170, 3, 44), cfg, scheme);
+  const R2Log r2s(scanner);
   scanner.start([] {});
   loop.run();
 
@@ -511,9 +533,9 @@ TEST_F(ScannerFixture, TcThenConnectionRefusedClassifiesTheTruncatedUdp) {
   EXPECT_EQ(s.tcp_retries, 1u);
   EXPECT_EQ(s.tcp_answers, 0u);
   EXPECT_EQ(s.tcp_failures, 1u);
-  ASSERT_EQ(scanner.responses().size(), 1u);
-  EXPECT_EQ(scanner.responses()[0].resolver, target);
-  const auto decoded = dns::decode(scanner.responses()[0].payload);
+  ASSERT_EQ(r2s.entries.size(), 1u);
+  EXPECT_EQ(r2s.entries[0].resolver, target);
+  const auto decoded = dns::decode(r2s.entries[0].payload);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_TRUE(decoded->header.flags.tc);
   EXPECT_TRUE(decoded->answers.empty());
@@ -528,6 +550,7 @@ TEST_F(ScannerFixture, TcThenSynLossTimesOutAndStillFinishes) {
   cfg.tcp_fallback = true;
   cfg.tcp_timeout = net::SimTime::seconds(3.0);
   Scanner scanner(net, net::IPv4Addr(132, 170, 3, 44), cfg, scheme);
+  const R2Log r2s(scanner);
   bool done = false;
   scanner.start([&] { done = true; });
   loop.run();
@@ -540,8 +563,8 @@ TEST_F(ScannerFixture, TcThenSynLossTimesOutAndStillFinishes) {
   EXPECT_EQ(s.tcp_answers, 0u);
   EXPECT_EQ(s.tcp_failures, 1u);
   EXPECT_EQ(net.streams().stats().syn_lost, 1u);
-  ASSERT_EQ(scanner.responses().size(), 1u);
-  const auto decoded = dns::decode(scanner.responses()[0].payload);
+  ASSERT_EQ(r2s.entries.size(), 1u);
+  const auto decoded = dns::decode(r2s.entries[0].payload);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_TRUE(decoded->header.flags.tc);
   EXPECT_EQ(net.streams().active_conns(), 0u);
@@ -563,6 +586,7 @@ TEST_F(ScannerFixture, DuplicateR2WhileRetryPendsIsCountedNeverClassified) {
   ScanConfig cfg = scan_config(1, 2000);
   cfg.tcp_fallback = true;
   Scanner scanner(net, net::IPv4Addr(132, 170, 3, 44), cfg, scheme);
+  const R2Log r2s(scanner);
   scanner.start([] {});
   loop.run();
 
@@ -575,8 +599,8 @@ TEST_F(ScannerFixture, DuplicateR2WhileRetryPendsIsCountedNeverClassified) {
   EXPECT_EQ(s.tcp_answers, 1u);
   // Exactly one classified flow: the TCP answer. The duplicate was only
   // counted.
-  ASSERT_EQ(scanner.responses().size(), 1u);
-  const auto decoded = dns::decode(scanner.responses()[0].payload);
+  ASSERT_EQ(r2s.entries.size(), 1u);
+  const auto decoded = dns::decode(r2s.entries[0].payload);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_FALSE(decoded->header.flags.tc);
 }
@@ -588,14 +612,15 @@ TEST_F(ScannerFixture, FallbackDisabledTreatsTcAnswersAsFinal) {
   plant(1, 100, truncating_profile(false));
   Scanner scanner(net, net::IPv4Addr(132, 170, 3, 44), scan_config(1, 2000),
                   scheme);
+  const R2Log r2s(scanner);
   scanner.start([] {});
   loop.run();
 
   const ScanStats& s = scanner.stats();
   EXPECT_EQ(s.tc_seen, 0u);
   EXPECT_EQ(s.tcp_retries, 0u);
-  ASSERT_EQ(scanner.responses().size(), 1u);
-  const auto decoded = dns::decode(scanner.responses()[0].payload);
+  ASSERT_EQ(r2s.entries.size(), 1u);
+  const auto decoded = dns::decode(r2s.entries[0].payload);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_TRUE(decoded->header.flags.tc);
   // The scanner never even forked the stream substream.
@@ -627,10 +652,11 @@ TEST_F(ScannerFixture, FallbackScanIsDeterministic) {
     ScanConfig cfg = scan_config(seed, 2000);
     cfg.tcp_fallback = true;
     Scanner s(n2, net::IPv4Addr(132, 170, 3, 44), cfg, scheme);
+    const R2Log r2s(s);
     s.start([] {});
     l2.run();
     std::vector<std::uint8_t> bytes;
-    for (const R2Record& r : s.responses())
+    for (const R2Log::Entry& r : r2s.entries)
       bytes.insert(bytes.end(), r.payload.begin(), r.payload.end());
     return std::tuple{s.stats().tcp_answers, l2.now().as_seconds(), bytes};
   };
