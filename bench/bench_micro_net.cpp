@@ -7,8 +7,9 @@
 // actions in a std::priority_queue, per-hop std::vector payload copies,
 // per-record capture buffers — retained here as a reference implementation)
 // and the pooled core ("after": fixed-budget InlineAction on an explicit
-// binary heap, recycled PayloadRef slabs, append-only capture arena), and
-// writes BENCH_net.json so the delta is machine-readable.
+// binary heap, recycled PayloadRef slabs, a capture that keeps a count and a
+// digest), and writes BENCH_net.json so the delta is machine-readable. The
+// two sides of each row are timed in alternating repetitions.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -19,7 +20,9 @@
 #include <new>
 #include <queue>
 #include <string>
+#include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dns/builder.h"
@@ -277,33 +280,59 @@ struct PacketCost {
   double allocs = 0;
 };
 
-/// Time + count allocations over `iters` calls of `f`, each of which moves
-/// `batch` packets (or events); reports the per-packet cost. Wall time is
-/// the best of seven repetitions — on a shared 1-vCPU container a single
-/// timed pass swings by 30%+, which would make the before/after ratios in
-/// BENCH_net.json lottery draws. Allocations are exact and taken once.
+/// One timed pass of `iters` calls of `f`: wall nanoseconds and the
+/// allocations made during it.
 template <typename F>
-PacketCost measure(int iters, int batch, F&& f) {
-  f();  // warm pools, heap storage, and handler maps before the clock starts
+std::pair<double, std::uint64_t> timed_pass(int iters, F& f) {
   g_alloc_count.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_relaxed);
-  const double per = static_cast<double>(iters) * batch;
-  double best_ns = 0;
-  for (int rep = 0; rep < 7; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) f();
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ns =
-        std::chrono::duration<double, std::nano>(t1 - t0).count();
-    if (rep == 0 || ns < best_ns) best_ns = ns;
-  }
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < iters; ++i) f();
+  const auto t1 = std::chrono::steady_clock::now();
   g_counting.store(false, std::memory_order_relaxed);
-  return PacketCost{best_ns / per,
-                    static_cast<double>(g_alloc_count.load()) / (per * 7)};
+  return {std::chrono::duration<double, std::nano>(t1 - t0).count(),
+          g_alloc_count.load(std::memory_order_relaxed)};
+}
+
+/// Timed passes per side of a measure_pair() row.
+constexpr int kPasses = 21;
+
+/// Per-packet cost of two implementations of one operation, each call of
+/// which moves `batch` packets (or events). The sides alternate pass by
+/// pass, in ABBA order, so a change in host load lands on both rather than
+/// on whichever side happened to run during it. Wall time is the best of
+/// kPasses short passes per side; allocations are exact, averaged over the
+/// passes.
+template <typename A, typename B>
+std::pair<PacketCost, PacketCost> measure_pair(int iters, int batch, A&& a,
+                                               B&& b) {
+  a();  // warm pools, heap storage, and handler maps before the clock starts
+  b();
+  double best[2] = {0, 0};
+  std::uint64_t allocs[2] = {0, 0};
+  const auto record = [&](int side, std::pair<double, std::uint64_t> t) {
+    if (best[side] == 0 || t.first < best[side]) best[side] = t.first;
+    allocs[side] += t.second;
+  };
+  for (int pass = 0; pass < kPasses; ++pass) {
+    if (pass % 2 == 0) {
+      record(0, timed_pass(iters, a));
+      record(1, timed_pass(iters, b));
+    } else {
+      record(1, timed_pass(iters, b));
+      record(0, timed_pass(iters, a));
+    }
+  }
+  const double per = static_cast<double>(iters) * batch;
+  const auto cost = [&](int side) {
+    return PacketCost{best[side] / per,
+                      static_cast<double>(allocs[side]) / (per * kPasses)};
+  };
+  return {cost(0), cost(1)};
 }
 
 void write_bench_net_json(const char* path) {
-  constexpr int kIters = 2'000;
+  constexpr int kIters = 600;
   constexpr int kBatch = 256;
   const auto wire = probe_wire();
   const net::Endpoint prober{net::IPv4Addr(1, 1, 1, 1), 54321};
@@ -317,18 +346,21 @@ void write_bench_net_json(const char* path) {
 
   {  // event scheduling alone: closure storage + queue maintenance
     LegacyLoop legacy_loop;
-    std::uint64_t fired = 0;
-    const auto before = measure(kIters, kBatch, [&] {
-      for (int i = 0; i < kBatch; ++i)
-        legacy_loop.schedule_in(net::SimTime::micros(i), [&fired] { ++fired; });
-      legacy_loop.run();
-    });
     net::EventLoop loop;
-    const auto after = measure(kIters, kBatch, [&] {
-      for (int i = 0; i < kBatch; ++i)
-        loop.schedule_in(net::SimTime::micros(i), [&fired] { ++fired; });
-      loop.run();
-    });
+    std::uint64_t fired = 0;
+    const auto [before, after] = measure_pair(
+        kIters, kBatch,
+        [&] {
+          for (int i = 0; i < kBatch; ++i)
+            legacy_loop.schedule_in(net::SimTime::micros(i),
+                                    [&fired] { ++fired; });
+          legacy_loop.run();
+        },
+        [&] {
+          for (int i = 0; i < kBatch; ++i)
+            loop.schedule_in(net::SimTime::micros(i), [&fired] { ++fired; });
+          loop.run();
+        });
     rows.push_back({"event_schedule_fire", before, after});
   }
 
@@ -337,21 +369,23 @@ void write_bench_net_json(const char* path) {
      // equal timestamps, the pattern the Floyd pop + batch-drain rework
      // targets (the plain ascending case above barely exercises either).
     LegacyLoop legacy_loop;
+    net::EventLoop loop;
     std::uint64_t fired = 0;
     const auto churn_deadline = [](int i) {
       return net::SimTime::micros((i * 37) % (kBatch / 4));
     };
-    const auto before = measure(kIters, kBatch, [&] {
-      for (int i = 0; i < kBatch; ++i)
-        legacy_loop.schedule_in(churn_deadline(i), [&fired] { ++fired; });
-      legacy_loop.run();
-    });
-    net::EventLoop loop;
-    const auto after = measure(kIters, kBatch, [&] {
-      for (int i = 0; i < kBatch; ++i)
-        loop.schedule_in(churn_deadline(i), [&fired] { ++fired; });
-      loop.run();
-    });
+    const auto [before, after] = measure_pair(
+        kIters, kBatch,
+        [&] {
+          for (int i = 0; i < kBatch; ++i)
+            legacy_loop.schedule_in(churn_deadline(i), [&fired] { ++fired; });
+          legacy_loop.run();
+        },
+        [&] {
+          for (int i = 0; i < kBatch; ++i)
+            loop.schedule_in(churn_deadline(i), [&fired] { ++fired; });
+          loop.run();
+        });
     rows.push_back({"event_heap_churn", before, after});
   }
 
@@ -360,18 +394,20 @@ void write_bench_net_json(const char* path) {
     LegacyNetwork legacy_net{legacy_loop, 1};
     std::uint64_t handled = 0;
     legacy_net.bind(resolver, [&handled](const LegacyDatagram&) { ++handled; });
-    const auto before = measure(kIters, kBatch, [&] {
-      for (int i = 0; i < kBatch; ++i)
-        legacy_net.send(LegacyDatagram{prober, resolver, wire});
-      legacy_loop.run();
-    });
     net::EventLoop loop;
     net::Network net{loop, 1};
     net.bind(resolver, [&handled](const net::Datagram&) { ++handled; });
-    const auto after = measure(kIters, kBatch, [&] {
-      for (int i = 0; i < kBatch; ++i) net.send(prober, resolver, wire);
-      loop.run();
-    });
+    const auto [before, after] = measure_pair(
+        kIters, kBatch,
+        [&] {
+          for (int i = 0; i < kBatch; ++i)
+            legacy_net.send(LegacyDatagram{prober, resolver, wire});
+          legacy_loop.run();
+        },
+        [&] {
+          for (int i = 0; i < kBatch; ++i) net.send(prober, resolver, wire);
+          loop.run();
+        });
     rows.push_back({"send_deliver", before, after});
   }
 
@@ -394,15 +430,9 @@ void write_bench_net_json(const char* path) {
     legacy_net.add_tap([&](net::SimTime t, const LegacyDatagram& d) {
       if (d.dst.addr == resolver.addr) legacy_cap.retain(t, d);
     });
-    const auto before = measure(kIters, kBatch, [&] {
-      legacy_cap.clear();
-      legacy_responses.clear();
-      for (int i = 0; i < kBatch; ++i)
-        legacy_net.send(LegacyDatagram{prober, resolver, wire});
-      legacy_loop.run();
-    });
-    // Today's receiver keeps nothing: the scanner hands each R2 to its
-    // callback, which reads the pooled delivery buffer in place.
+    // Today's receiver and capture keep nothing: the scanner hands each R2
+    // to its callback, which reads the pooled delivery buffer in place, and
+    // the capture keeps a count and a digest.
     net::EventLoop loop;
     net::Network net{loop, 1};
     std::uint64_t consumed = 0;
@@ -411,39 +441,48 @@ void write_bench_net_json(const char* path) {
     });
     net::CaptureStore store;
     store.attach(net, resolver.addr);
-    store.reserve(kBatch, kBatch * wire.size());
-    const auto after = measure(kIters, kBatch, [&] {
-      store.clear();
-      for (int i = 0; i < kBatch; ++i) net.send(prober, resolver, wire);
-      loop.run();
-    });
-    rows.push_back({"send_deliver_tap_capture_retain", before, after});
+    const auto [before, after] = measure_pair(
+        kIters, kBatch,
+        [&] {
+          legacy_cap.clear();
+          legacy_responses.clear();
+          for (int i = 0; i < kBatch; ++i)
+            legacy_net.send(LegacyDatagram{prober, resolver, wire});
+          legacy_loop.run();
+        },
+        [&] {
+          for (int i = 0; i < kBatch; ++i) net.send(prober, resolver, wire);
+          loop.run();
+        });
+    rows.push_back({"send_deliver_tap_capture", before, after});
   }
 
-  // The observability tax on the same full path: identical work, but the
-  // loop records into an attached Metrics instance (per-event counter bump,
-  // time-in-queue histogram observe, queue-peak gauge on schedule).
+  // The observability tax on the same full path: two identical stacks, but
+  // the second loop records into an attached Metrics instance (per-event
+  // counter bump, time-in-queue histogram observe, queue-peak gauge on
+  // schedule).
   PacketCost plain, instrumented;
   {
-    net::EventLoop loop;
-    net::Network net{loop, 1};
-    std::uint64_t handled = 0;
-    net.bind(resolver, [&handled](const net::Datagram&) { ++handled; });
-    net::CaptureStore store;
-    store.attach(net, resolver.addr);
-    store.reserve(kBatch, kBatch * wire.size());
-    plain = measure(kIters, kBatch, [&] {
-      store.clear();
-      for (int i = 0; i < kBatch; ++i) net.send(prober, resolver, wire);
-      loop.run();
-    });
+    struct Stack {
+      net::EventLoop loop;
+      net::Network net{loop, 1};
+      net::CaptureStore store;
+      std::uint64_t handled = 0;
+    };
+    Stack stacks[2];
+    for (Stack& st : stacks) {
+      st.net.bind(resolver, [&st](const net::Datagram&) { ++st.handled; });
+      st.store.attach(st.net, resolver.addr);
+    }
     obs::Metrics metrics(obs::builtin().schema);
-    loop.set_metrics(&metrics);
-    instrumented = measure(kIters, kBatch, [&] {
-      store.clear();
-      for (int i = 0; i < kBatch; ++i) net.send(prober, resolver, wire);
-      loop.run();
-    });
+    stacks[1].loop.set_metrics(&metrics);
+    const auto pass = [&](Stack& st) {
+      for (int i = 0; i < kBatch; ++i) st.net.send(prober, resolver, wire);
+      st.loop.run();
+    };
+    std::tie(plain, instrumented) =
+        measure_pair(kIters, kBatch, [&] { pass(stacks[0]); },
+                     [&] { pass(stacks[1]); });
   }
   const double metrics_overhead_pct =
       (instrumented.ns - plain.ns) / plain.ns * 100.0;
@@ -456,10 +495,12 @@ void write_bench_net_json(const char* path) {
       "{\n  \"bench\": \"net_alloc\",\n  \"iters\": " + std::to_string(kIters) +
       ",\n  \"batch\": " + std::to_string(kBatch) +
       ",\n  \"unit\": \"per delivered packet\","
+      "\n  \"timing\": \"best of " + std::to_string(kPasses) +
+      " passes per side, sides alternating ABBA\","
       "\n  \"before\": \"std::function + priority_queue / vector payloads / "
       "per-record capture buffers\","
       "\n  \"after\": \"InlineAction + binary heap / pooled PayloadRef / "
-      "capture arena\",\n  \"rows\": [\n";
+      "count + digest capture\",\n  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     char line[320];

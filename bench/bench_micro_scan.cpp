@@ -126,11 +126,19 @@ BENCHMARK(BM_FullCampaignThreads)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-/// One timed campaign run; returns (wall seconds, events executed).
-/// `instrumented` turns the full observability layer on (metrics + 1/64 flow
-/// tracing) — the delta against the plain run is the instrumentation tax.
-std::pair<double, std::uint64_t> timed_campaign(unsigned threads,
-                                                bool instrumented = false) {
+struct CampaignRun {
+  double wall = 0;          // seconds, population build to finalize
+  std::uint64_t events = 0;
+  std::uint64_t q1_sent = 0;
+
+  double events_per_sec() const { return static_cast<double>(events) / wall; }
+  double probes_per_sec() const { return static_cast<double>(q1_sent) / wall; }
+};
+
+/// One timed campaign run. `instrumented` turns the full observability layer
+/// on (metrics + 1/64 flow tracing) — the delta against the plain run is the
+/// instrumentation tax.
+CampaignRun timed_campaign(unsigned threads, bool instrumented = false) {
   core::PipelineConfig cfg;
   cfg.scale = 1024;  // the default scale the acceptance target is set at
   cfg.seed = 42;
@@ -142,8 +150,8 @@ std::pair<double, std::uint64_t> timed_campaign(unsigned threads,
   const auto t0 = std::chrono::steady_clock::now();
   const core::ScanOutcome o = core::run_measurement(core::paper_2018(), cfg);
   const auto t1 = std::chrono::steady_clock::now();
-  const double wall = std::chrono::duration<double>(t1 - t0).count();
-  return {wall, o.events_executed};
+  return {std::chrono::duration<double>(t1 - t0).count(), o.events_executed,
+          o.scan.q1_sent};
 }
 
 /// Write `json` to `path`; false (and a message on stderr) on any emit
@@ -163,22 +171,26 @@ bool emit_json(const char* path, const std::string& json) {
 
 /// CI smoke mode (--quick): one single-shard campaign, minimal JSON, no
 /// google-benchmark sweep. Exists so the pre-merge gate exercises the whole
-/// bench path (campaign + JSON emit) in seconds.
+/// bench path (campaign + JSON emit) in seconds; scripts/check_all.sh gates
+/// its probes_per_sec.
 bool write_bench_scan_quick_json(const char* path) {
-  const auto [wall, events] = timed_campaign(1);
-  char buf[256];
+  const CampaignRun r = timed_campaign(1);
+  char buf[320];
   std::snprintf(buf, sizeof(buf),
                 "{\n  \"bench\": \"scan_threads_quick\",\n  \"threads\": 1,\n"
                 "  \"wall_seconds\": %.3f,\n  \"events\": %llu,\n"
-                "  \"events_per_sec\": %.0f\n}\n",
-                wall, static_cast<unsigned long long>(events),
-                static_cast<double>(events) / wall);
-  std::printf("quick: threads=1  wall=%.3fs  events/s=%.0f\n", wall,
-              static_cast<double>(events) / wall);
+                "  \"events_per_sec\": %.0f,\n  \"q1_sent\": %llu,\n"
+                "  \"probes_per_sec\": %.0f\n}\n",
+                r.wall, static_cast<unsigned long long>(r.events),
+                r.events_per_sec(), static_cast<unsigned long long>(r.q1_sent),
+                r.probes_per_sec());
+  std::printf("quick: threads=1  wall=%.3fs  events/s=%.0f  probes/s=%.0f\n",
+              r.wall, r.events_per_sec(), r.probes_per_sec());
   return emit_json(path, buf);
 }
 
-/// The machine-readable perf trajectory: threads -> wall-seconds, events/s.
+/// The machine-readable perf trajectory: threads -> wall-seconds, events/s,
+/// probes/s.
 /// hardware_concurrency is recorded because the speedup column is only
 /// meaningful relative to the cores the run actually had — on a 1-vCPU
 /// container every thread count serializes and the walls are near-flat.
@@ -198,46 +210,47 @@ bool write_bench_scan_json(const char* path) {
                      std::to_string(cores) + ",\n  \"results\": [\n";
   double wall_t1 = 0, wall_t4 = 0;
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    double wall = 1e9;
-    std::uint64_t events = 0;
+    CampaignRun best;
     for (int run = 0; run < kRuns; ++run) {
-      const auto [w, e] = timed_campaign(threads);
-      wall = std::min(wall, w);
-      events = e;  // deterministic for a fixed thread count
+      // Counts are deterministic for a fixed thread count; keep the fastest.
+      const CampaignRun r = timed_campaign(threads);
+      if (run == 0 || r.wall < best.wall) best = r;
     }
-    if (threads == 1) wall_t1 = wall;
-    if (threads == 4) wall_t4 = wall;
-    char row[256];
+    if (threads == 1) wall_t1 = best.wall;
+    if (threads == 4) wall_t4 = best.wall;
+    char row[320];
     std::snprintf(row, sizeof(row),
                   "    {\"threads\": %u, \"wall_seconds\": %.3f, "
-                  "\"events\": %llu, \"events_per_sec\": %.0f}%s\n",
-                  threads, wall, static_cast<unsigned long long>(events),
-                  static_cast<double>(events) / wall,
-                  threads == 8 ? "" : ",");
+                  "\"events\": %llu, \"events_per_sec\": %.0f, "
+                  "\"q1_sent\": %llu, \"probes_per_sec\": %.0f}%s\n",
+                  threads, best.wall,
+                  static_cast<unsigned long long>(best.events),
+                  best.events_per_sec(),
+                  static_cast<unsigned long long>(best.q1_sent),
+                  best.probes_per_sec(), threads == 8 ? "" : ",");
     json += row;
-    std::printf("threads=%u  best-of-%d wall=%.3fs  events/s=%.0f\n", threads,
-                kRuns, wall, static_cast<double>(events) / wall);
+    std::printf("threads=%u  best-of-%d wall=%.3fs  events/s=%.0f  "
+                "probes/s=%.0f\n",
+                threads, kRuns, best.wall, best.events_per_sec(),
+                best.probes_per_sec());
   }
   // The instrumentation tax: the same campaign with the observability layer
   // fully on (metrics + 1/64 flow tracing), single-shard so the comparison
   // is not muddied by scheduling noise. Interleaved best-of-7 on both sides
   // — single runs on a shared container swing by 10%+, which would drown
   // the signal. Acceptance: ≤ 5%.
-  double best_plain = wall_t1, wall_obs = 1e9;
-  std::uint64_t events_obs = 0;
+  double best_plain = wall_t1;
+  CampaignRun obs;
   for (int i = 0; i < 7; ++i) {
-    best_plain = std::min(best_plain, timed_campaign(1).first);
-    const auto [wall, events] = timed_campaign(1, /*instrumented=*/true);
-    if (wall < wall_obs) {
-      wall_obs = wall;
-      events_obs = events;
-    }
+    best_plain = std::min(best_plain, timed_campaign(1).wall);
+    const CampaignRun r = timed_campaign(1, /*instrumented=*/true);
+    if (i == 0 || r.wall < obs.wall) obs = r;
   }
+  const double wall_obs = obs.wall;
   const double overhead_pct = (wall_obs - best_plain) / best_plain * 100.0;
   std::printf("threads=1 (obs on)  wall=%.3fs  events/s=%.0f  "
               "overhead=%.1f%%\n",
-              wall_obs, static_cast<double>(events_obs) / wall_obs,
-              overhead_pct);
+              wall_obs, obs.events_per_sec(), overhead_pct);
   char tail[256];
   std::snprintf(tail, sizeof(tail),
                 "  ],\n  \"speedup_t4_vs_t1\": %.2f,\n"

@@ -5,8 +5,8 @@
 #
 # The zero-allocation core trades owned buffers for shared ones: pooled
 # PayloadRef slabs are refcounted across in-flight events, taps, and the
-# receiving handler; CaptureStore records are {offset,len} views into an
-# append-only arena, and the scanner's R2 callback borrows the delivery
+# receiving handler; CaptureStore hashes inbound payloads in place through
+# borrowed batch spans, and the scanner's R2 callback borrows the delivery
 # buffer for the duration of the call; InlineAction relocates closures inside
 # a fixed buffer during heap sifts. A lifetime or aliasing mistake in any of
 # those would corrupt memory rather than fail a value assertion, and a

@@ -22,7 +22,8 @@ std::uint64_t ScanOutcome::expect(std::uint64_t paper_count) const {
 }
 
 ScanOutcome run_measurement(const PaperYear& year,
-                            const PipelineConfig& config) {
+                            const PipelineConfig& config,
+                            const ShardHook& on_shard) {
   // build_population would read 0 as the full campaign while
   // ScanOutcome::expect divides by scale_factor.
   if (config.scale == 0)
@@ -110,6 +111,7 @@ ScanOutcome run_measurement(const PaperYear& year,
                      scan_config, config.obs,
                      progress != nullptr ? &progress->shard(shard_id)
                                          : nullptr);
+    if (on_shard) on_shard(ctx);
     results[shard_id] = ctx.run();
   };
   if (shards == 1) {

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 
 #include "analysis/report.h"
 #include "core/internet_builder.h"
@@ -71,8 +72,9 @@ struct ScanOutcome {
   zone::ClusterStats clusters;        // Fig. 3 lifecycle
   std::uint64_t cluster_loads = 0;    // zone loads at the auth server(s)
   analysis::ScanAnalysis analysis;
-  /// Merged prober-vantage capture: packet counts and the raw digest (no
-  /// payload records — per-response consumers use the scanner's R2 hook).
+  /// Merged prober-vantage capture: packets seen in either direction and a
+  /// digest of the inbound ones (per-response consumers use the scanner's R2
+  /// hook).
   net::CaptureStore capture;
   /// Order-insensitive digest of the R2s' behavioral content
   /// (PartialTables::digest) — equal across thread counts (the
@@ -95,8 +97,16 @@ struct ScanOutcome {
   std::uint64_t scale_factor = 1;
 };
 
+class ShardContext;
+
+/// Called on each shard's own thread with its freshly built context, before
+/// the shard runs. The campaign needs none; tests hang extra taps on a
+/// shard's network through it (see core/shard.h for what a context exposes).
+using ShardHook = std::function<void(ShardContext&)>;
+
 /// Run one campaign. `year` is normally paper_2013() or paper_2018().
 /// Throws std::invalid_argument when `config.scale` is 0.
-ScanOutcome run_measurement(const PaperYear& year, const PipelineConfig& config);
+ScanOutcome run_measurement(const PaperYear& year, const PipelineConfig& config,
+                            const ShardHook& on_shard = {});
 
 }  // namespace orp::core

@@ -43,7 +43,6 @@ ShardContext::ShardContext(const PopulationSpec& spec,
     throw std::invalid_argument("ShardContext: only streaming=true, "
                                 "retain_r2=false is supported");
   capture_.attach(internet_.network(), internet_.prober_address());
-  capture_.set_retain_payloads(false);
   scanner_.set_rotate_callback([this](std::uint32_t cluster) {
     internet_.auth().load_cluster(cluster);
   });
@@ -110,8 +109,6 @@ void ShardContext::collect_metrics() {
   m.add(b.pool_recycled, pool.recycled_count());
 
   m.add(b.capture_packets, capture_.packet_count());
-  m.add(b.capture_retained, capture_.retained_count());
-  m.add(b.capture_arena_bytes, capture_.arena_bytes());
 
   const prober::ScanStats& s = scanner_.stats();
   m.add(b.scan_q1_sent, s.q1_sent);

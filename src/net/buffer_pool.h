@@ -10,8 +10,8 @@
 //
 // Threading: shards are single-threaded by construction (one event loop per
 // shard, pool owned by the shard's Network), so the refcount is a plain
-// integer. A PayloadRef must never cross shards; merged artifacts
-// (CaptureStore arenas) copy bytes out instead.
+// integer. A PayloadRef must never cross shards; what a shard hands to the
+// merge (counts, digests, partial tables) holds no payload bytes at all.
 #pragma once
 
 #include <array>

@@ -1,226 +1,29 @@
 #include "net/capture_store.h"
 
-#include <algorithm>
-#include <compare>
-#include <tuple>
-
 #include "util/hash.h"
 #include "util/rng.h"
 
 namespace orp::net {
 
-namespace {
-
-std::uint64_t packet_hash(const Datagram& d) {
-  return util::Fnv1a()
-      .word_bytes(d.src.addr.value())
-      .word_bytes(d.src.port)
-      .word_bytes(d.dst.addr.value())
-      .word_bytes(d.dst.port)
-      .bytes(d.payload)
-      .value();
-}
-
-// The batch digest below computes the same per-packet FNV-1a value as
-// packet_hash, restructured from a latency problem into a throughput one:
-//
-//  * word_bytes() of a 32-bit address (or 16-bit port) folds 4 (or 6)
-//    trailing zero bytes; folding a zero is h = (h ^ 0) * p = h * p, so a
-//    run of k zeros collapses to one multiply by p^k.
-//  * FNV's per-byte step is a serial xor-multiply chain (~3-cycle multiply
-//    latency each), but distinct packets' chains are independent — running
-//    four packets' chains interleaved keeps the multiplier port busy
-//    instead of waiting out each packet's dependency chain.
-//
-// Both transformations are exact: every packet's folded value is
-// bit-identical to packet_hash, and the digest is a wrapping sum, so lane
-// completion order cannot change it.
-constexpr std::uint64_t fnv_pow(int n) noexcept {
-  std::uint64_t r = 1;
-  while (n-- > 0) r *= util::kFnv1aPrime;
-  return r;
-}
-constexpr std::uint64_t kP = util::kFnv1aPrime;
-constexpr std::uint64_t kP4 = fnv_pow(4);  // the 4 zero bytes above an addr
-constexpr std::uint64_t kP6 = fnv_pow(6);  // the 6 zero bytes above a port
-
-/// FNV state resumed after the (src addr, src port) prefix, with the
-/// destination and payload still to fold.
-struct DigestLane {
-  std::uint64_t h = 0;
-  std::uint32_t dst_addr = 0;
-  std::uint16_t dst_port = 0;
-  const std::uint8_t* payload = nullptr;
-  std::size_t len = 0;
-};
-
-/// Fold one lane's destination fields (zero runs collapsed).
-std::uint64_t fold_dst(std::uint64_t h, std::uint32_t addr,
-                       std::uint16_t port) noexcept {
-  h = (h ^ (addr & 0xff)) * kP;
-  h = (h ^ ((addr >> 8) & 0xff)) * kP;
-  h = (h ^ ((addr >> 16) & 0xff)) * kP;
-  h = (h ^ (addr >> 24)) * kP;
-  h *= kP4;
-  h = (h ^ (port & 0xff)) * kP;
-  h = (h ^ (port >> 8)) * kP;
-  h *= kP6;
-  return h;
-}
-
-std::uint64_t lane_value(const DigestLane& l) noexcept {
-  std::uint64_t h = fold_dst(l.h, l.dst_addr, l.dst_port);
-  for (std::size_t i = 0; i < l.len; ++i) h = (h ^ l.payload[i]) * kP;
-  return util::mix64(h);
-}
-
-/// Digest contribution of `count` (≤4) pending lanes. Four equal-length
-/// payloads (every templated probe of a batch) run interleaved; anything
-/// else falls back to per-lane chains.
-std::uint64_t drain_lanes(const DigestLane* l, int count) noexcept {
-  if (count == 4 && l[0].len == l[1].len && l[1].len == l[2].len &&
-      l[2].len == l[3].len) {
-    std::uint64_t h0 = fold_dst(l[0].h, l[0].dst_addr, l[0].dst_port);
-    std::uint64_t h1 = fold_dst(l[1].h, l[1].dst_addr, l[1].dst_port);
-    std::uint64_t h2 = fold_dst(l[2].h, l[2].dst_addr, l[2].dst_port);
-    std::uint64_t h3 = fold_dst(l[3].h, l[3].dst_addr, l[3].dst_port);
-    const std::uint8_t* p0 = l[0].payload;
-    const std::uint8_t* p1 = l[1].payload;
-    const std::uint8_t* p2 = l[2].payload;
-    const std::uint8_t* p3 = l[3].payload;
-    const std::size_t n = l[0].len;
-    for (std::size_t i = 0; i < n; ++i) {
-      h0 = (h0 ^ p0[i]) * kP;
-      h1 = (h1 ^ p1[i]) * kP;
-      h2 = (h2 ^ p2[i]) * kP;
-      h3 = (h3 ^ p3[i]) * kP;
-    }
-    return util::mix64(h0) + util::mix64(h1) + util::mix64(h2) +
-           util::mix64(h3);
-  }
-  std::uint64_t sum = 0;
-  for (int i = 0; i < count; ++i) sum += lane_value(l[i]);
-  return sum;
-}
-
-}  // namespace
-
 void CaptureStore::attach(Network& net, IPv4Addr host) {
   net.add_tap(
-      [this, host](SimTime t, const Datagram& d) {
-        if (d.dst.addr == host)
-          add(t, d);
-        else if (d.src.addr == host)
-          count_only(t, d);
-      },
-      [this, host](SimTime t, std::span<const PacketView> pkts) {
-        observe_batch(t, pkts, host);
+      [this, host](SimTime, const Datagram& d) { observe(d, host); },
+      [this, host](SimTime, std::span<const PacketView> pkts) {
+        observe_batch(pkts, host);
       });
 }
 
-void CaptureStore::observe_batch(SimTime t, std::span<const PacketView> pkts,
-                                 IPv4Addr host) {
-  // The (src addr, src port) digest prefix is identical for every packet of
-  // one sender's run — cache the FNV state after those 16 bytes and resume
-  // it per packet instead of re-folding them 3.7B times per campaign.
-  util::Fnv1a prefix;
-  Endpoint prefix_src{};
-  bool have_prefix = false;
-  DigestLane lanes[4];
-  int pending = 0;
-  for (const PacketView& p : pkts) {
-    if (!have_prefix || prefix_src != p.src) {
-      prefix = util::Fnv1a()
-                   .word_bytes(p.src.addr.value())
-                   .word_bytes(p.src.port);
-      prefix_src = p.src;
-      have_prefix = true;
-    }
-    if (p.dst.addr == host) {
-      if (retain_payloads_) {
-        records_.push_back(
-            CaptureRecord{t, p.src, p.dst, arena_.size(),
-                          static_cast<std::uint32_t>(p.payload.size())});
-        arena_.insert(arena_.end(), p.payload.begin(), p.payload.end());
-      }
-    } else if (p.src.addr != host) {
-      continue;  // not this vantage's traffic
-    }
-    ++packet_count_;
-    lanes[pending++] =
-        DigestLane{prefix.value(), p.dst.addr.value(), p.dst.port,
-                   p.payload.data(), p.payload.size()};
-    if (pending == 4) {
-      digest_ += drain_lanes(lanes, 4);
-      pending = 0;
-    }
-  }
-  digest_ += drain_lanes(lanes, pending);
-}
-
-void CaptureStore::add(SimTime t, const Datagram& d) {
-  if (retain_payloads_) {
-    records_.push_back(
-        CaptureRecord{t, d.src, d.dst, arena_.size(),
-                      static_cast<std::uint32_t>(d.payload.size())});
-    arena_.insert(arena_.end(), d.payload.begin(), d.payload.end());
-  }
-  ++packet_count_;
-  absorb_digest(d);
-}
-
-void CaptureStore::count_only(SimTime t, const Datagram& d) {
-  (void)t;
-  ++packet_count_;
-  absorb_digest(d);
-}
-
-void CaptureStore::reserve(std::size_t records, std::size_t arena_bytes) {
-  records_.reserve(records);
-  arena_.reserve(arena_bytes);
-}
-
-void CaptureStore::absorb_digest(const Datagram& d) {
-  // Wrapping sum of mixed per-packet hashes: commutative and associative,
-  // so merge order (and shard layout) cannot change the result.
-  digest_ += util::mix64(packet_hash(d));
-}
-
-void CaptureStore::merge(CaptureStore&& other) {
-  const std::uint64_t base = arena_.size();
-  arena_.insert(arena_.end(), other.arena_.begin(), other.arena_.end());
-  records_.reserve(records_.size() + other.records_.size());
-  for (const CaptureRecord& r : other.records_)
-    records_.push_back(
-        CaptureRecord{r.time, r.src, r.dst, r.offset + base, r.len});
-  packet_count_ += other.packet_count_;
-  digest_ += other.digest_;
-  other.clear();
-}
-
-void CaptureStore::sort_canonical() {
-  std::stable_sort(
-      records_.begin(), records_.end(),
-      [this](const CaptureRecord& a, const CaptureRecord& b) {
-        const auto ka = std::tuple(a.src.addr.value(), a.src.port,
-                                   a.dst.addr.value(), a.dst.port);
-        const auto kb = std::tuple(b.src.addr.value(), b.src.port,
-                                   b.dst.addr.value(), b.dst.port);
-        if (ka != kb) return ka < kb;
-        const auto pa = payload(a);
-        const auto pb = payload(b);
-        const auto c = std::lexicographical_compare_three_way(
-            pa.begin(), pa.end(), pb.begin(), pb.end());
-        if (c != 0) return c < 0;
-        return a.time < b.time;
-      });
-}
-
-void CaptureStore::clear() {
-  records_.clear();
-  arena_.clear();
-  packet_count_ = 0;
-  digest_ = 0;
+std::uint64_t CaptureStore::packet_hash(
+    Endpoint src, Endpoint dst, std::span<const std::uint8_t> payload) noexcept {
+  // Mixed so that the wrapping sum in observe() — commutative and
+  // associative — cannot be moved by merge order or shard layout.
+  return util::mix64(util::Fnv1a()
+                         .word_bytes(src.addr.value())
+                         .word_bytes(src.port)
+                         .word_bytes(dst.addr.value())
+                         .word_bytes(dst.port)
+                         .bytes(payload)
+                         .value());
 }
 
 }  // namespace orp::net

@@ -2,105 +2,74 @@
 //
 // A sharded campaign runs one event loop per shard, so a single Capture tap
 // cannot observe the whole scan. CaptureStore is the shard-local vantage
-// whose contents *merge*: records concatenate, counts sum, and the digest is
-// an order-insensitive (commutative) hash, so the merged value is identical
-// no matter how the campaign was partitioned or in which order shards land.
+// whose contents *merge*: counts sum and the digest is an order-insensitive
+// (commutative) hash, so the merged value is identical no matter how the
+// campaign was partitioned or in which order shards land.
 //
-// Retained payloads live in one append-only byte arena per store; a record is
-// {time, src, dst, offset, len}. That keeps the shard's whole R2 pcap in a
-// single growing allocation instead of one vector per packet, and merging is
-// an arena concatenation plus an offset shift.
+// Like ZMap's prober, the vantage keeps nothing per packet. Every packet to
+// or from the host is counted; only inbound packets (the R2s) are hashed.
+// Outbound probe bytes are a function of (destination, subdomain id,
+// template) that nothing downstream reads, so the per-probe path never
+// hashes them. The determinism tests that pin the probe bytes carry their
+// own tap over the prober vantage (tests/wire_oracle.h).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
-#include "net/sim_time.h"
 #include "net/transport.h"
 
 namespace orp::net {
 
-/// One retained packet; the payload bytes live in the owning store's arena
-/// and are read back through CaptureStore::payload().
-struct CaptureRecord {
-  SimTime time;
-  Endpoint src;
-  Endpoint dst;
-  std::uint64_t offset = 0;
-  std::uint32_t len = 0;
-};
-
-/// Shard-local capture at one vantage host: inbound payloads are retained
-/// (the R2 pcap), outbound packets are counted and digested only (ZMap does
-/// not retain 3.7B Q1 payloads either).
 class CaptureStore {
  public:
   /// Install a tap pair on `net` observing traffic to/from `host`: the
-  /// single half covers per-packet sends, the batch half digests a whole
+  /// single half covers per-packet sends, the batch half a whole
   /// send_batch() span in one call. The store must outlive the network.
   void attach(Network& net, IPv4Addr host);
 
-  /// Record a packet with payload retained.
-  void add(SimTime t, const Datagram& d);
-  /// Record a packet as count + digest only.
-  void count_only(SimTime t, const Datagram& d);
-  /// Batch-tap body: classify a send_batch() span against `host` (inbound
-  /// retained, outbound count + digest). Consecutive packets from one
-  /// sender share a cached digest prefix over (src addr, src port), so the
-  /// scanner's whole probe batch re-hashes only destination and payload.
-  void observe_batch(SimTime t, std::span<const PacketView> pkts,
-                     IPv4Addr host);
-
-  /// Pre-size the record list and byte arena (e.g. to pin a steady-state
-  /// allocation budget in tests).
-  void reserve(std::size_t records, std::size_t arena_bytes);
-
-  /// Whether inbound payloads are retained (default: yes). With retention
-  /// off, `add` degrades to `count_only` — packet counts and the digest are
-  /// maintained exactly as before, but no record or arena bytes are kept.
-  /// The streaming pipeline turns this off: the analyzer consumes each R2
-  /// at capture time, so the shard never needs its pcap.
-  void set_retain_payloads(bool retain) noexcept { retain_payloads_ = retain; }
-
-  /// Fold another shard's store into this one (commutative on the digest
-  /// and counts; records concatenate in call order, arenas concatenate and
-  /// the moved-in offsets shift).
-  void merge(CaptureStore&& other);
-
-  /// Deterministic record order: (src, dst, payload, time). Applied after
-  /// merging so the retained pcap is independent of shard count.
-  void sort_canonical();
-
-  const std::vector<CaptureRecord>& records() const noexcept {
-    return records_;
+  /// Per-packet tap body: count a packet to or from `host`, and fold it
+  /// into the digest if it is inbound. Other traffic is ignored.
+  void observe(const Datagram& d, IPv4Addr host) noexcept {
+    observe(d.src, d.dst, d.payload, host);
   }
-  std::span<const std::uint8_t> payload(const CaptureRecord& r) const noexcept {
-    return {arena_.data() + r.offset, r.len};
-  }
-  std::span<const std::uint8_t> payload(std::size_t i) const noexcept {
-    return payload(records_[i]);
+  /// Batch-tap body: observe() for every packet of a send_batch() span.
+  void observe_batch(std::span<const PacketView> pkts, IPv4Addr host) noexcept {
+    for (const PacketView& p : pkts) observe(p.src, p.dst, p.payload, host);
   }
 
+  /// Fold another shard's store into this one (commutative).
+  void merge(CaptureStore&& other) noexcept {
+    packet_count_ += other.packet_count_;
+    digest_ += other.digest_;
+  }
+
+  /// No-op: nothing is retained, so there is nothing to order. It stays only
+  /// because perfbench/census_bench.cpp calls it (ROADMAP item 3).
+  void sort_canonical() noexcept {}
+
+  /// Packets observed in either direction.
   std::uint64_t packet_count() const noexcept { return packet_count_; }
-  std::uint64_t retained_count() const noexcept { return records_.size(); }
-  std::size_t arena_bytes() const noexcept { return arena_.size(); }
 
-  /// Order-insensitive digest over (src, dst, payload) of every observed
-  /// packet — equal for any shard layout that observed the same packet set.
+  /// Order-insensitive digest over (src, dst, payload) of every inbound
+  /// packet — equal for any shard layout that received the same packet set.
   std::uint64_t digest() const noexcept { return digest_; }
 
-  void clear();
-
  private:
-  void absorb_digest(const Datagram& d);
+  void observe(Endpoint src, Endpoint dst,
+               std::span<const std::uint8_t> payload, IPv4Addr host) noexcept {
+    if (dst.addr == host)
+      digest_ += packet_hash(src, dst, payload);
+    else if (src.addr != host)
+      return;  // not this vantage's traffic
+    ++packet_count_;
+  }
+  static std::uint64_t packet_hash(
+      Endpoint src, Endpoint dst,
+      std::span<const std::uint8_t> payload) noexcept;
 
-  std::vector<CaptureRecord> records_;
-  std::vector<std::uint8_t> arena_;
   std::uint64_t packet_count_ = 0;
   std::uint64_t digest_ = 0;
-  bool retain_payloads_ = true;
 };
 
 }  // namespace orp::net

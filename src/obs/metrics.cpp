@@ -153,10 +153,6 @@ const Builtin& builtin() {
     b.capture_packets =
         s.counter("orp_capture_packets",
                   "packets observed at the prober capture vantage");
-    b.capture_retained = s.counter("orp_capture_retained",
-                                   "packets retained with payload (R2 pcap)");
-    b.capture_arena_bytes = s.counter(
-        "orp_capture_arena_bytes", "bytes in the retained-payload arena");
 
     b.scan_q1_sent = s.counter("orp_scan_q1_sent",
                                "probes sent (Table II Q1)");

@@ -201,8 +201,6 @@ struct Builtin {
 
   // net::CaptureStore (prober vantage)
   CounterHandle capture_packets;
-  CounterHandle capture_retained;
-  CounterHandle capture_arena_bytes;
 
   // prober::Scanner + prober::RateLimiter
   CounterHandle scan_q1_sent;

@@ -242,9 +242,9 @@ TEST(AllocBudget, ClassifyBeatsMaterializingDecodeByTwoX) {
       << "view=" << n_view << " materialize=" << n_materialize;
 }
 
-// The tentpole budget: once the payload pool, event heap, and capture arena
-// are warm, a full send→schedule→deliver→tap→capture round trip touches the
-// allocator exactly zero times per packet.
+// The tentpole budget: once the payload pool and event heap are warm, a full
+// send→schedule→deliver→tap→capture round trip touches the allocator exactly
+// zero times per packet.
 TEST(AllocBudget, SteadyStateSendDeliverCaptureIsAllocationFree) {
   const auto scheme = probe_scheme();
   const auto wire = encode(probe_query(scheme));
@@ -256,13 +256,12 @@ TEST(AllocBudget, SteadyStateSendDeliverCaptureIsAllocationFree) {
   std::uint64_t handled = 0;
   net.bind(resolver, [&handled](const net::Datagram&) { ++handled; });
   net::CaptureStore store;
-  store.attach(net, resolver.addr);  // every packet inbound -> retained
+  store.attach(net, resolver.addr);  // every packet inbound -> digested
 
   constexpr int kBatch = 256;
-  store.reserve(2 * kBatch, 2 * kBatch * wire.size());
   // Warm everything the steady state reuses: pool slabs and free list up to
-  // the in-flight high-water mark, the event heap's backing vector, and the
-  // capture arena reserved above.
+  // the in-flight high-water mark and the event heap's backing vector. The
+  // capture keeps a count and a digest, so it needs no pre-sizing.
   for (int i = 0; i < kBatch; ++i) net.send(prober, resolver, wire);
   loop.run();
 
@@ -295,7 +294,6 @@ TEST(AllocBudget, InstrumentedSteadyStatePathIsStillAllocationFree) {
   store.attach(net, resolver.addr);
 
   constexpr int kBatch = 256;
-  store.reserve(2 * kBatch, 2 * kBatch * wire.size());
   for (int i = 0; i < kBatch; ++i) net.send(prober, resolver, wire);
   loop.run();
 

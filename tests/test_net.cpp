@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <span>
 #include <string>
 #include <tuple>
@@ -621,7 +622,7 @@ TEST_F(NetworkTest, CaptureCountOnlyOutbound) {
 
 // ---- CaptureStore ----------------------------------------------------------
 
-TEST(CaptureStore, VantageRetainsInboundCountsOutbound) {
+TEST(CaptureStore, VantageDigestsInboundCountsOutbound) {
   EventLoop loop;
   Network net{loop, 7};
   const Endpoint vantage{IPv4Addr(9, 9, 9, 9), 53};
@@ -632,88 +633,83 @@ TEST(CaptureStore, VantageRetainsInboundCountsOutbound) {
   CaptureStore store;
   store.attach(net, vantage.addr);
   net.send(Datagram{vantage, peer, {1, 2, 3}});  // outbound: counted only
-  net.send(Datagram{peer, vantage, {4, 5}});     // inbound: retained
+  net.send(Datagram{peer, vantage, {4, 5}});     // inbound: counted + digested
   loop.run();
-
   EXPECT_EQ(store.packet_count(), 2u);
-  ASSERT_EQ(store.retained_count(), 1u);
-  const auto payload = store.payload(0);
-  EXPECT_EQ(std::vector<std::uint8_t>(payload.begin(), payload.end()),
-            (std::vector<std::uint8_t>{4, 5}));
+
+  // The digest is the inbound packet's alone.
+  CaptureStore inbound;
+  inbound.observe(Datagram{peer, vantage, {4, 5}}, vantage.addr);
   EXPECT_NE(store.digest(), 0u);
+  EXPECT_EQ(store.digest(), inbound.digest());
+
+  // Outbound bytes never reach the digest, whatever they are.
+  CaptureStore a, b;
+  a.observe(Datagram{vantage, peer, {1, 2, 3}}, vantage.addr);
+  b.observe(Datagram{vantage, peer, {7}}, vantage.addr);
+  EXPECT_EQ(a.packet_count(), 1u);
+  EXPECT_EQ(a.digest(), 0u);
+  EXPECT_EQ(b.digest(), 0u);
+
+  // Traffic between two other hosts is not this vantage's.
+  CaptureStore foreign;
+  foreign.observe(Datagram{peer, {IPv4Addr(7, 7, 7, 7), 53}, {1}},
+                  vantage.addr);
+  EXPECT_EQ(foreign.packet_count(), 0u);
+  EXPECT_EQ(foreign.digest(), 0u);
 }
 
 TEST(CaptureStore, MergedDigestIsShardOrderInsensitive) {
-  const Datagram p1{{IPv4Addr(1, 0, 0, 1), 100}, {IPv4Addr(2, 0, 0, 2), 53},
-                    {10, 20}};
-  const Datagram p2{{IPv4Addr(3, 0, 0, 3), 100}, {IPv4Addr(4, 0, 0, 4), 53},
-                    {30}};
-  const Datagram p3{{IPv4Addr(5, 0, 0, 5), 100}, {IPv4Addr(6, 0, 0, 6), 53},
-                    {40, 50, 60}};
+  const IPv4Addr host(9, 9, 9, 9);
+  const Datagram p1{{IPv4Addr(1, 0, 0, 1), 53}, {host, 100}, {10, 20}};
+  const Datagram p2{{IPv4Addr(3, 0, 0, 3), 53}, {host, 100}, {30}};
+  const Datagram p3{{IPv4Addr(5, 0, 0, 5), 53}, {host, 100}, {40, 50, 60}};
+  const Datagram q1{{host, 100}, {IPv4Addr(6, 0, 0, 6), 53}, {70}};
 
   // The same packet set partitioned two different ways across "shards".
   CaptureStore x1, x2, y1, y2;
-  x1.add(SimTime::millis(1), p1);
-  x1.add(SimTime::millis(2), p2);
-  x2.add(SimTime::millis(3), p3);
-  y1.add(SimTime::millis(9), p3);
-  y1.add(SimTime::millis(8), p1);
-  y2.add(SimTime::millis(7), p2);
+  x1.observe(p1, host);
+  x1.observe(p2, host);
+  x2.observe(p3, host);
+  x2.observe(q1, host);
+  y1.observe(q1, host);
+  y1.observe(p3, host);
+  y1.observe(p1, host);
+  y2.observe(p2, host);
 
   x1.merge(std::move(x2));
   y1.merge(std::move(y2));
+  EXPECT_NE(x1.digest(), 0u);
   EXPECT_EQ(x1.digest(), y1.digest());
-  EXPECT_EQ(x1.packet_count(), y1.packet_count());
-
-  // Canonical sort makes the retained record sequences identical too.
-  x1.sort_canonical();
-  y1.sort_canonical();
-  ASSERT_EQ(x1.records().size(), y1.records().size());
-  for (std::size_t i = 0; i < x1.records().size(); ++i) {
-    EXPECT_EQ(x1.records()[i].src, y1.records()[i].src);
-    const auto px = x1.payload(i);
-    const auto py = y1.payload(i);
-    EXPECT_TRUE(std::equal(px.begin(), px.end(), py.begin(), py.end()));
-  }
+  EXPECT_EQ(x1.packet_count(), 4u);
+  EXPECT_EQ(y1.packet_count(), 4u);
 }
 
-// observe_batch() drains packets through four interleaved digest lanes (plus
-// a cached same-sender prefix); these tests pin it to the per-packet
-// reference — add() for inbound, count_only() for outbound — bit for bit.
+// observe_batch() is the batch tap's body; these tests pin it to the
+// per-packet tap, observe(), bit for bit.
 namespace {
 
-/// Apply one span of packets to `ref` exactly as the per-packet taps would.
-void observe_singly(CaptureStore& ref, SimTime t,
-                    std::span<const PacketView> pkts, IPv4Addr host) {
+/// Apply one span of packets to `ref` exactly as the per-packet tap would.
+void observe_singly(CaptureStore& ref, std::span<const PacketView> pkts,
+                    IPv4Addr host) {
   for (const PacketView& p : pkts) {
-    const Datagram d{p.src, p.dst,
-                     std::vector<std::uint8_t>(p.payload.begin(),
-                                               p.payload.end())};
-    if (p.dst.addr == host)
-      ref.add(t, d);
-    else if (p.src.addr == host)
-      ref.count_only(t, d);
+    ref.observe(Datagram{p.src, p.dst,
+                         std::vector<std::uint8_t>(p.payload.begin(),
+                                                   p.payload.end())},
+                host);
   }
 }
 
 void expect_stores_equal(const CaptureStore& a, const CaptureStore& b) {
   EXPECT_EQ(a.digest(), b.digest());
   EXPECT_EQ(a.packet_count(), b.packet_count());
-  ASSERT_EQ(a.retained_count(), b.retained_count());
-  for (std::size_t i = 0; i < a.records().size(); ++i) {
-    EXPECT_EQ(a.records()[i].src, b.records()[i].src);
-    EXPECT_EQ(a.records()[i].dst, b.records()[i].dst);
-    const auto pa = a.payload(i);
-    const auto pb = b.payload(i);
-    EXPECT_TRUE(std::equal(pa.begin(), pa.end(), pb.begin(), pb.end()));
-  }
 }
 
 }  // namespace
 
 TEST(CaptureStore, BatchDigestEqualsPerPacketEqualLengths) {
-  // Equal-length payloads drive the 4-lane interleaved drain; sweep batch
-  // sizes covering every lane remainder (n mod 4 in {0,1,2,3}).
+  // Equal-length payloads, alternating direction (even: an R2 into the
+  // vantage, odd: a probe out of it), over batch sizes 1..9.
   const IPv4Addr host(9, 9, 9, 9);
   for (std::size_t n = 1; n <= 9; ++n) {
     std::vector<std::vector<std::uint8_t>> payloads;
@@ -723,22 +719,26 @@ TEST(CaptureStore, BatchDigestEqualsPerPacketEqualLengths) {
                           std::uint8_t(0xF0 ^ i)});
     }
     for (std::size_t i = 0; i < n; ++i) {
-      // Outbound probes from one sender: the same-src prefix cache path.
-      pkts.push_back({{host, 54321},
-                      {IPv4Addr(10, 0, 0, std::uint8_t(i + 1)), 53},
-                      payloads[i]});
+      const Endpoint vantage{host, 54321};
+      const Endpoint peer{IPv4Addr(10, 0, 0, std::uint8_t(i + 1)), 53};
+      if (i % 2 == 0)
+        pkts.push_back({peer, vantage, payloads[i]});
+      else
+        pkts.push_back({vantage, peer, payloads[i]});
     }
     CaptureStore batch, single;
-    batch.observe_batch(SimTime::millis(5), pkts, host);
-    observe_singly(single, SimTime::millis(5), pkts, host);
+    batch.observe_batch(pkts, host);
+    observe_singly(single, pkts, host);
     expect_stores_equal(batch, single);
+    EXPECT_EQ(batch.packet_count(), n);
+    EXPECT_NE(batch.digest(), 0u);
   }
 }
 
 TEST(CaptureStore, BatchDigestEqualsPerPacketMixedLengthsAndDirections) {
   // Unequal lengths (including empty), inbound + outbound + foreign packets
   // interleaved: the batch path must classify and digest exactly like the
-  // per-packet taps, skipping the foreign packet entirely.
+  // per-packet tap, skipping the foreign packet entirely.
   const IPv4Addr host(9, 9, 9, 9);
   const std::vector<std::uint8_t> p0;                      // empty payload
   const std::vector<std::uint8_t> p1{1};
@@ -755,11 +755,14 @@ TEST(CaptureStore, BatchDigestEqualsPerPacketMixedLengthsAndDirections) {
       {{host, 54321}, {IPv4Addr(10, 0, 0, 5), 53}, p3},         // outbound
   };
   CaptureStore batch, single;
-  batch.observe_batch(SimTime::millis(8), pkts, host);
-  observe_singly(single, SimTime::millis(8), pkts, host);
+  batch.observe_batch(pkts, host);
+  observe_singly(single, pkts, host);
   expect_stores_equal(batch, single);
   EXPECT_EQ(batch.packet_count(), 6u);  // the foreign packet is not observed
-  EXPECT_EQ(batch.retained_count(), 2u);
+  // Only the two inbound packets are digested.
+  CaptureStore inbound;
+  inbound.observe_batch(std::array{pkts[1], pkts[4]}, host);
+  EXPECT_EQ(batch.digest(), inbound.digest());
 }
 
 TEST(CaptureStore, BatchSplitsProduceOneDigest) {
@@ -772,16 +775,17 @@ TEST(CaptureStore, BatchSplitsProduceOneDigest) {
   for (std::size_t i = 0; i < 7; ++i)
     payloads.push_back(std::vector<std::uint8_t>(17 + i, std::uint8_t(i)));
   for (std::size_t i = 0; i < 7; ++i)
-    pkts.push_back({{host, 54321},
-                    {IPv4Addr(10, 0, 0, std::uint8_t(i + 1)), 53},
+    pkts.push_back({{IPv4Addr(10, 0, 0, std::uint8_t(i + 1)), 53},
+                    {host, 54321},
                     payloads[i]});
 
   CaptureStore whole, split, singles;
-  whole.observe_batch(SimTime::millis(1), pkts, host);
-  split.observe_batch(SimTime::millis(1), std::span(pkts).first(3), host);
-  split.observe_batch(SimTime::millis(1), std::span(pkts).subspan(3), host);
+  whole.observe_batch(pkts, host);
+  split.observe_batch(std::span(pkts).first(3), host);
+  split.observe_batch(std::span(pkts).subspan(3), host);
   for (const PacketView& p : pkts)
-    singles.observe_batch(SimTime::millis(1), std::span(&p, 1), host);
+    singles.observe_batch(std::span(&p, 1), host);
+  EXPECT_NE(whole.digest(), 0u);
   EXPECT_EQ(whole.digest(), split.digest());
   EXPECT_EQ(whole.digest(), singles.digest());
   EXPECT_EQ(whole.packet_count(), split.packet_count());
@@ -796,8 +800,8 @@ TEST(CaptureStore, DigestChangesWithContent) {
   const Datagram q{{IPv4Addr(1, 0, 0, 1), 100}, {IPv4Addr(2, 0, 0, 2), 53},
                    {11, 20}};
   CaptureStore a, b;
-  a.add(SimTime(), p);
-  b.add(SimTime(), q);
+  a.observe(p, p.dst.addr);  // inbound at 2.0.0.2
+  b.observe(q, q.dst.addr);
   EXPECT_NE(a.digest(), b.digest());
 }
 

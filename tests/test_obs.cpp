@@ -19,6 +19,7 @@
 #include "obs/obs.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
+#include "wire_oracle.h"
 
 namespace orp::obs {
 namespace {
@@ -295,14 +296,17 @@ const core::ScanOutcome& instrumented(unsigned threads) {
 TEST(ObsPipeline, InstrumentationDoesNotPerturbTheCampaign) {
   core::PipelineConfig plain = obs_config(2);
   plain.obs = obs::ObsConfig{};  // everything off
-  const core::ScanOutcome off = core::run_measurement(core::paper_2018(), plain);
+  const auto [off, off_wire] = core::run_tapped(core::paper_2018(), plain);
   EXPECT_FALSE(off.metrics.enabled());
 
-  // At the matching shard count, the equality is total: the full-payload
-  // capture digest and the event count match the uninstrumented run bit for
-  // bit — the instrumented shard executed the exact same event stream.
-  EXPECT_EQ(instrumented(2).capture.digest(), off.capture.digest());
-  EXPECT_EQ(instrumented(2).events_executed, off.events_executed);
+  // At the matching shard count, the equality is total: the wire digest of
+  // every prober-vantage packet (full Q1 and R2 bytes, tests/wire_oracle.h)
+  // and the event count match the uninstrumented run bit for bit — the
+  // instrumented shard executed the exact same event stream.
+  const auto [on2, on2_wire] =
+      core::run_tapped(core::paper_2018(), obs_config(2));
+  EXPECT_EQ(on2_wire, off_wire);
+  EXPECT_EQ(on2.events_executed, off.events_executed);
 
   // Across shard counts, the thread-invariant surface (behavior digest,
   // scan/auth totals, rendered analysis tables — the PipelineSharding set)

@@ -12,6 +12,7 @@
 #include "core/pipeline.h"
 #include "core/shard.h"
 #include "util/rng.h"
+#include "wire_oracle.h"
 
 namespace orp::core {
 namespace {
@@ -305,14 +306,22 @@ TEST(PipelineSharding, MergedReportIdenticalForEveryThreadCount) {
 
     // The headline requirement: byte-identical rendered tables.
     EXPECT_EQ(rendered_tables(o), ref_tables) << "threads=" << threads;
+    // The §V private-redirect summary is not rendered into any table.
+    const analysis::PrivateRedirectSummary& p = o.analysis.private_redirects;
+    const analysis::PrivateRedirectSummary& q = ref.analysis.private_redirects;
+    EXPECT_EQ(p.r2, q.r2) << threads;
+    EXPECT_EQ(p.unique_ips, q.unique_ips) << threads;
+    EXPECT_EQ(p.rfc1918, q.rfc1918) << threads;
+    EXPECT_EQ(p.cgn, q.cgn) << threads;
   }
 }
 
 TEST(PipelineSharding, BatchCapsAreBehaviorInvisible) {
   // The batched-dispatch caps (event-loop drain size, grouped-delivery
   // size) are purely mechanical: every value must reproduce the reference
-  // run bit-for-bit — raw capture digest (full payload bytes), behavioral
-  // digest, and rendered tables — at every thread count.
+  // run bit-for-bit — the wire digest of every prober-vantage packet (full
+  // Q1 and R2 bytes, tests/wire_oracle.h), behavioral digest, and rendered
+  // tables — at every thread count.
   PipelineConfig base;
   base.scale = 16384;
   base.seed = 42;
@@ -323,26 +332,25 @@ TEST(PipelineSharding, BatchCapsAreBehaviorInvisible) {
   ASSERT_NE(ref.capture_digest, 0u);
 
   for (const unsigned threads : {1u, 4u}) {
-    // The raw capture digest folds shard-merge order, which legitimately
-    // varies with the shard count — so each thread count gets its own
-    // raw-digest reference (default caps), while the canonical digest and
-    // rendered tables must match the threads=1 reference everywhere.
+    // The wire digest folds shard-merge order, which legitimately varies
+    // with the shard count — so each thread count gets its own wire-digest
+    // reference (default caps), while the canonical digest and rendered
+    // tables must match the threads=1 reference everywhere.
     PipelineConfig thr = base;
     thr.threads = threads;
-    const std::uint64_t raw_ref = run_measurement(paper_2018(), thr).capture.digest();
+    const std::uint64_t wire_ref = run_tapped(paper_2018(), thr).wire;
     for (const std::size_t cap :
          {std::size_t{1}, std::size_t{8}, std::size_t{64}, std::size_t{0}}) {
       PipelineConfig cfg = base;
       cfg.threads = threads;
       cfg.loop_batch_cap = cap;
       cfg.delivery_group_cap = cap;
-      const ScanOutcome o = run_measurement(paper_2018(), cfg);
+      const auto [o, wire] = run_tapped(paper_2018(), cfg);
       EXPECT_EQ(o.scan.q1_sent, ref.scan.q1_sent)
           << "threads=" << threads << " cap=" << cap;
       EXPECT_EQ(o.scan.r2_received, ref.scan.r2_received)
           << "threads=" << threads << " cap=" << cap;
-      EXPECT_EQ(o.capture.digest(), raw_ref)
-          << "threads=" << threads << " cap=" << cap;
+      EXPECT_EQ(wire, wire_ref) << "threads=" << threads << " cap=" << cap;
       EXPECT_EQ(o.capture_digest, ref.capture_digest)
           << "threads=" << threads << " cap=" << cap;
       EXPECT_EQ(rendered_tables(o), ref_tables)
@@ -355,8 +363,10 @@ TEST(PipelineSharding, WireTemplatesAreBehaviorInvisible) {
   // The template-stamped wire path is a pure encoding shortcut: with the
   // knob on or off, under packet loss (which exercises reap + reuse, whose
   // order feeds future qnames) and across batch caps and thread counts, the
-  // raw capture digest, behavioral digest, and rendered tables must be
-  // bit-identical. Only the template_* counters may move.
+  // wire digest of every prober-vantage packet (this is the test that pins
+  // the stamped Q1 bytes to the full encoder's, tests/wire_oracle.h), the
+  // behavioral digest, and the rendered tables must be bit-identical. Only
+  // the template_* counters may move.
   PipelineConfig base;
   base.scale = 16384;
   base.seed = 42;
@@ -370,9 +380,8 @@ TEST(PipelineSharding, WireTemplatesAreBehaviorInvisible) {
     // MergedReportIdenticalForEveryThreadCount's job).
     PipelineConfig thr = base;
     thr.threads = threads;
-    const ScanOutcome ref = run_measurement(paper_2018(), thr);
+    const auto [ref, wire_ref] = run_tapped(paper_2018(), thr);
     const std::string ref_tables = rendered_tables(ref);
-    const std::uint64_t raw_ref = ref.capture.digest();
     ASSERT_GT(ref.scan.r2_received, 100u) << threads;
     ASSERT_GT(ref.scan.timeouts_reaped, 0u) << threads;  // loss bites
     ASSERT_NE(ref.capture_digest, 0u) << threads;
@@ -386,7 +395,7 @@ TEST(PipelineSharding, WireTemplatesAreBehaviorInvisible) {
         cfg.wire_templates = templates;
         cfg.loop_batch_cap = cap;
         cfg.delivery_group_cap = cap;
-        const ScanOutcome o = run_measurement(paper_2018(), cfg);
+        const auto [o, wire] = run_tapped(paper_2018(), cfg);
         EXPECT_EQ(o.scan.q1_sent, ref.scan.q1_sent)
             << "threads=" << threads << " tpl=" << templates << " cap=" << cap;
         EXPECT_EQ(o.scan.r2_received, ref.scan.r2_received)
@@ -395,7 +404,7 @@ TEST(PipelineSharding, WireTemplatesAreBehaviorInvisible) {
             << "threads=" << threads << " tpl=" << templates << " cap=" << cap;
         EXPECT_EQ(o.auth.queries_received, ref.auth.queries_received)
             << "threads=" << threads << " tpl=" << templates << " cap=" << cap;
-        EXPECT_EQ(o.capture.digest(), raw_ref)
+        EXPECT_EQ(wire, wire_ref)
             << "threads=" << threads << " tpl=" << templates << " cap=" << cap;
         EXPECT_EQ(o.capture_digest, ref.capture_digest)
             << "threads=" << threads << " tpl=" << templates << " cap=" << cap;
@@ -492,14 +501,23 @@ TEST(PipelineSharding, StreamingAnalysisIsExact) {
     std::uint64_t digest;  // ScanOutcome::capture_digest
     std::uint64_t tables;  // fnv1a64(rendered_tables)
     std::uint64_t r2;      // ScanStats::r2_received
-    std::uint64_t priv;    // private_redirects.r2 (not in the tables)
+    // The §V private-redirect summary (rendered into no table).
+    std::uint64_t priv;        // private_redirects.r2
+    std::uint64_t priv_ips;    // private_redirects.unique_ips
+    std::uint64_t priv_1918;   // private_redirects.rfc1918
+    std::uint64_t priv_cgn;    // private_redirects.cgn
   };
   constexpr Golden kGoldens[] = {
-      {2018, 0.0, 1, 0x928519a14b2a9fcbULL, 0xf5bb42479d66a6dbULL, 200, 4},
-      {2018, 0.0, 4, 0x928519a14b2a9fcbULL, 0xf5bb42479d66a6dbULL, 200, 4},
-      {2018, 0.02, 1, 0x96e96b3dc795a0b3ULL, 0x86d28deddfc3a56cULL, 192, 4},
-      {2018, 0.02, 4, 0x380d3d41aa23b2fdULL, 0x60a3d7d53aa83227ULL, 191, 4},
-      {2013, 0.0, 1, 0x0fd2ba116cd1d721ULL, 0xe0df423af359ac6aULL, 508, 2},
+      {2018, 0.0, 1, 0x928519a14b2a9fcbULL, 0xf5bb42479d66a6dbULL, 200, 4, 4,
+       4, 0},
+      {2018, 0.0, 4, 0x928519a14b2a9fcbULL, 0xf5bb42479d66a6dbULL, 200, 4, 4,
+       4, 0},
+      {2018, 0.02, 1, 0x96e96b3dc795a0b3ULL, 0x86d28deddfc3a56cULL, 192, 4, 4,
+       4, 0},
+      {2018, 0.02, 4, 0x380d3d41aa23b2fdULL, 0x60a3d7d53aa83227ULL, 191, 4, 4,
+       4, 0},
+      {2013, 0.0, 1, 0x0fd2ba116cd1d721ULL, 0xe0df423af359ac6aULL, 508, 2, 2,
+       2, 0},
   };
   for (const Golden& g : kGoldens) {
     for (const bool templates : {true, false}) {
@@ -524,13 +542,26 @@ TEST(PipelineSharding, StreamingAnalysisIsExact) {
         EXPECT_EQ(o.capture_digest, g.digest) << tag();
         EXPECT_EQ(util::fnv1a64(rendered_tables(o)), g.tables) << tag();
         EXPECT_EQ(o.scan.r2_received, g.r2) << tag();
-        EXPECT_EQ(o.analysis.private_redirects.r2, g.priv) << tag();
+        const analysis::PrivateRedirectSummary& p =
+            o.analysis.private_redirects;
+        EXPECT_EQ(p.r2, g.priv) << tag();
+        EXPECT_EQ(p.unique_ips, g.priv_ips) << tag();
+        EXPECT_EQ(p.rfc1918, g.priv_1918) << tag();
+        EXPECT_EQ(p.cgn, g.priv_cgn) << tag();
         // With the DoTCP fallback off, the scanner classifies each received
         // R2 exactly once, so the tables count every one of them.
         EXPECT_EQ(o.analysis.r2_total, o.scan.r2_received) << tag();
-        // No per-response state survives the scan.
-        EXPECT_EQ(o.capture.retained_count(), 0u) << tag();
-        EXPECT_GT(o.capture.packet_count(), 0u) << tag();
+        // The prober vantage sees each Q1 leave and each R2 arrive. Taps run
+        // before loss, so a lossy campaign also sees R2s that never arrive.
+        if (g.loss == 0.0) {
+          EXPECT_EQ(o.capture.packet_count(),
+                    o.scan.q1_sent + o.scan.r2_received)
+              << tag();
+        } else {
+          EXPECT_GE(o.capture.packet_count(),
+                    o.scan.q1_sent + o.scan.r2_received)
+              << tag();
+        }
       }
     }
   }
@@ -541,12 +572,12 @@ TEST(PipelineSharding, ShardedRunIsDeterministic) {
   cfg.scale = 65536;
   cfg.seed = 7;
   cfg.threads = 4;
-  const ScanOutcome a = run_measurement(paper_2018(), cfg);
-  const ScanOutcome b = run_measurement(paper_2018(), cfg);
-  // Same thread count, same seed: identical down to the raw capture digest
-  // (which, unlike capture_digest, folds full payload bytes).
+  const auto [a, a_wire] = run_tapped(paper_2018(), cfg);
+  const auto [b, b_wire] = run_tapped(paper_2018(), cfg);
+  // Same thread count, same seed: identical down to the wire digest (which,
+  // unlike capture_digest, folds the full bytes of every Q1 and R2).
   EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_EQ(a.capture.digest(), b.capture.digest());
+  EXPECT_EQ(a_wire, b_wire);
   EXPECT_EQ(a.capture_digest, b.capture_digest);
   EXPECT_EQ(a.scan.q1_sent, b.scan.q1_sent);
 }
