@@ -11,8 +11,9 @@
 // every scale in one process would let the largest set the high-water mark
 // for all.
 //
-// --ci: one streaming run at scale 256, JSON to BENCH_analysis.ci.json —
-// the pre-merge gate's memory-ceiling probe (see scripts/check_all.sh).
+// --ci [path]: one streaming run at scale 256, JSON to `path` (default
+// BENCH_analysis.ci.json) — the pre-merge gate's memory-ceiling probe,
+// which writes it into its build tree (see scripts/check_all.sh).
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -200,6 +201,6 @@ int run_full(const char* path) {
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i)
     if (std::string(argv[i]) == "--ci")
-      return run_ci("BENCH_analysis.ci.json");
+      return run_ci(i + 1 < argc ? argv[i + 1] : "BENCH_analysis.ci.json");
   return run_full("BENCH_analysis.json");
 }

@@ -9,7 +9,10 @@
 // and the pooled core ("after": fixed-budget InlineAction on an explicit
 // binary heap, recycled PayloadRef slabs, a capture that keeps a count and a
 // digest), and writes BENCH_net.json so the delta is machine-readable. The
-// two sides of each row are timed in alternating repetitions.
+// two sides of each row are timed in alternating repetitions. One more pair
+// times a batch of probes into unbound space on a fresh network against
+// one whose resolvers have bound and unbound ephemeral ports, which must
+// cost the same (the bound-endpoint filter is keyed by address).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -25,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_host.h"
 #include "dns/builder.h"
 #include "dns/codec.h"
 #include "net/capture_store.h"
@@ -486,13 +490,68 @@ void write_bench_net_json(const char* path) {
   }
   const double metrics_overhead_pct =
       (instrumented.ns - plain.ns) / plain.ns * 100.0;
+
+  // Port churn against the bound-endpoint filter. Both networks bind the
+  // same resolver addresses at :53; the churned one then binds and unbinds
+  // one ephemeral port per upstream query, as often as a campaign's
+  // resolvers do, and unbind never clears a filter bit. A batch of probes
+  // into unbound space must cost the same on both: the filter is keyed by
+  // address, so ephemeral ports on an already-bound address set no bit.
+  constexpr int kResolvers = 4096;
+  constexpr int kEphemeralBinds = 156'000;
+  PacketCost fresh_cost, churned_cost;
+  {
+    struct Stack {
+      net::EventLoop loop;
+      net::Network net{loop, 1};
+    };
+    Stack stacks[2];
+    const auto resolver_addr = [](int r) {
+      return net::IPv4Addr(
+          static_cast<std::uint32_t>(util::mix64(0x5EED0000u + r)));
+    };
+    for (Stack& st : stacks)
+      for (int r = 0; r < kResolvers; ++r)
+        st.net.bind({resolver_addr(r), net::kDnsPort},
+                    [](const net::Datagram&) {});
+    for (int q = 0; q < kEphemeralBinds; ++q) {
+      const net::Endpoint ep{resolver_addr(q % kResolvers),
+                             static_cast<std::uint16_t>(1024 + q % 60000)};
+      stacks[1].net.bind(ep, [](const net::Datagram&) {});
+      stacks[1].net.unbind(ep);
+    }
+    std::vector<net::PacketView> unbound;
+    for (int i = 0; i < kBatch; ++i)
+      unbound.push_back(
+          {prober,
+           {net::IPv4Addr(static_cast<std::uint32_t>(util::mix64(i))),
+            net::kDnsPort}});
+    const auto payload_of = [&wire](std::size_t) {
+      return std::span<const std::uint8_t>(wire);
+    };
+    const auto pass = [&](Stack& st) {
+      st.net.send_batch(unbound, payload_of);
+      st.loop.run();
+    };
+    std::tie(fresh_cost, churned_cost) =
+        measure_pair(kIters, kBatch, [&] { pass(stacks[0]); },
+                     [&] { pass(stacks[1]); });
+    if (stacks[0].net.delivered() + stacks[1].net.delivered() != 0)
+      std::fprintf(stderr, "churn row: a probe hit a bound resolver\n");
+  }
+  const double churn_ratio = churned_cost.ns / fresh_cost.ns;
+  std::printf("%-26s fresh  %8.1f ns %6.2f allocs | churned %7.1f ns "
+              "%6.2f allocs (%.2fx)\n",
+              "send_unbound_after_churn", fresh_cost.ns, fresh_cost.allocs,
+              churned_cost.ns, churned_cost.allocs, churn_ratio);
   std::printf("%-26s plain  %8.1f ns %6.2f allocs | metrics %7.1f ns "
               "%6.2f allocs (%.1f%% overhead)\n",
               "metrics_on_full_path", plain.ns, plain.allocs, instrumented.ns,
               instrumented.allocs, metrics_overhead_pct);
 
   std::string json =
-      "{\n  \"bench\": \"net_alloc\",\n  \"iters\": " + std::to_string(kIters) +
+      "{\n  \"bench\": \"net_alloc\",\n  " + bench::host_json_fields() +
+      ",\n  \"iters\": " + std::to_string(kIters) +
       ",\n  \"batch\": " + std::to_string(kBatch) +
       ",\n  \"unit\": \"per delivered packet\","
       "\n  \"timing\": \"best of " + std::to_string(kPasses) +
@@ -517,13 +576,19 @@ void write_bench_net_json(const char* path) {
                 r.op, r.before.ns, r.before.allocs, r.after.ns,
                 r.after.allocs);
   }
-  char obs_line[256];
+  char obs_line[640];
   std::snprintf(obs_line, sizeof(obs_line),
                 "  ],\n  \"metrics_on_full_path\": {\"plain_ns\": %.1f, "
                 "\"instrumented_ns\": %.1f, \"instrumented_allocs\": %.2f, "
-                "\"overhead_pct\": %.1f}\n}\n",
+                "\"overhead_pct\": %.1f},\n"
+                "  \"send_unbound_after_churn\": {\"resolvers\": %d, "
+                "\"ephemeral_binds\": %d, \"fresh_ns\": %.1f, "
+                "\"churned_ns\": %.1f, \"churned_allocs\": %.2f, "
+                "\"ratio\": %.2f}\n}\n",
                 plain.ns, instrumented.ns, instrumented.allocs,
-                metrics_overhead_pct);
+                metrics_overhead_pct, kResolvers, kEphemeralBinds,
+                fresh_cost.ns, churned_cost.ns, churned_cost.allocs,
+                churn_ratio);
   json += obs_line;
   if (std::FILE* f = std::fopen(path, "w")) {
     std::fwrite(json.data(), 1, json.size(), f);

@@ -14,8 +14,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <thread>
 
+#include "bench_host.h"
 #include "core/paper_data.h"
 #include "core/pipeline.h"
 #include "net/reserved.h"
@@ -200,14 +200,12 @@ bool write_bench_scan_json(const char* path) {
   // the deltas this file exists to record. The minimum of N runs estimates
   // the unloaded cost; N is recorded so readers know what the numbers are.
   constexpr int kRuns = 5;
-  const unsigned cores = std::thread::hardware_concurrency();
   std::string json = "{\n  \"bench\": \"scan_threads\",\n"
                      "  \"year\": 2018,\n  \"scale\": 1024,\n"
                      "  \"seed\": 42,\n  \"runs_per_point\": " +
                      std::to_string(kRuns) +
-                     ",\n  \"wall_seconds_is\": \"best_of_runs\","
-                     "\n  \"hardware_concurrency\": " +
-                     std::to_string(cores) + ",\n  \"results\": [\n";
+                     ",\n  \"wall_seconds_is\": \"best_of_runs\",\n  " +
+                     bench::host_json_fields() + ",\n  \"results\": [\n";
   double wall_t1 = 0, wall_t4 = 0;
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
     CampaignRun best;

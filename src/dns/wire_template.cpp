@@ -138,13 +138,6 @@ std::span<const std::uint8_t> WireTemplate::stamp(const StampVars& v,
   return scratch.out;
 }
 
-void WireTemplate::stamp_append(const StampVars& v,
-                                std::vector<std::uint8_t>& arena) const {
-  const std::size_t off = arena.size();
-  arena.insert(arena.end(), bytes_.begin(), bytes_.end());
-  stamp_at(v, arena.data() + off);
-}
-
 bool WireTemplate::match(std::span<const std::uint8_t> wire,
                          StampVars& out) const {
   if (!ok_ || wire.size() != bytes_.size()) return false;

@@ -84,9 +84,6 @@ class WireTemplate {
   std::span<const std::uint8_t> stamp(const StampVars& v,
                                       EncodeBuffer& scratch) const;
 
-  /// Stamp appended to `arena` (the scanner's staging buffer).
-  void stamp_append(const StampVars& v, std::vector<std::uint8_t>& arena) const;
-
   /// Recognize `wire` as a stamped instance of this template: every byte
   /// outside the patch plan must equal the template, every patched byte
   /// must be a plausible var byte (digits in digit runs, consistent across

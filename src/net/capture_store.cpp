@@ -8,8 +8,9 @@ namespace orp::net {
 void CaptureStore::attach(Network& net, IPv4Addr host) {
   net.add_tap(
       [this, host](SimTime, const Datagram& d) { observe(d, host); },
-      [this, host](SimTime, std::span<const PacketView> pkts) {
-        observe_batch(pkts, host);
+      [this, host](SimTime, std::span<const PacketView> pkts,
+                   PayloadFn payload_of) {
+        observe_batch(pkts, payload_of, host);
       });
 }
 

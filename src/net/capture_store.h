@@ -31,11 +31,15 @@ class CaptureStore {
   /// Per-packet tap body: count a packet to or from `host`, and fold it
   /// into the digest if it is inbound. Other traffic is ignored.
   void observe(const Datagram& d, IPv4Addr host) noexcept {
-    observe(d.src, d.dst, d.payload, host);
+    fold(d.src, d.dst, host, [&] { return d.payload.span(); });
   }
   /// Batch-tap body: observe() for every packet of a send_batch() span.
-  void observe_batch(std::span<const PacketView> pkts, IPv4Addr host) noexcept {
-    for (const PacketView& p : pkts) observe(p.src, p.dst, p.payload, host);
+  /// Only inbound packets' bytes are read, so payload_of is called for
+  /// those alone — the scanner's outbound probes are counted unbuilt.
+  void observe_batch(std::span<const PacketView> pkts, PayloadFn payload_of,
+                     IPv4Addr host) {
+    for (std::size_t i = 0; i < pkts.size(); ++i)
+      fold(pkts[i].src, pkts[i].dst, host, [&] { return payload_of(i); });
   }
 
   /// Fold another shard's store into this one (commutative).
@@ -56,10 +60,12 @@ class CaptureStore {
   std::uint64_t digest() const noexcept { return digest_; }
 
  private:
-  void observe(Endpoint src, Endpoint dst,
-               std::span<const std::uint8_t> payload, IPv4Addr host) noexcept {
+  /// Count a packet to or from `host`; only an inbound one has its bytes
+  /// (`bytes()`) read and digested.
+  template <typename Bytes>
+  void fold(Endpoint src, Endpoint dst, IPv4Addr host, const Bytes& bytes) {
     if (dst.addr == host)
-      digest_ += packet_hash(src, dst, payload);
+      digest_ += packet_hash(src, dst, bytes());
     else if (src.addr != host)
       return;  // not this vantage's traffic
     ++packet_count_;

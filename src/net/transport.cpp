@@ -37,14 +37,14 @@ void Network::bind(Endpoint ep, Handler handler) {
   Binding& b = handlers_[ep];
   b.single = std::move(handler);
   b.batch = nullptr;
-  note_bound(ep);
+  note_bound(ep.addr);
 }
 
 void Network::bind_batch(Endpoint ep, Handler single, BatchHandler batch) {
   Binding& b = handlers_[ep];
   b.single = std::move(single);
   b.batch = std::move(batch);
-  note_bound(ep);
+  note_bound(ep.addr);
 }
 
 void Network::unbind(Endpoint ep) { handlers_.erase(ep); }
@@ -68,7 +68,7 @@ void Network::send(Datagram d) {
     ++dropped_loss_;
     return;
   }
-  if (!maybe_bound(d.dst) || !handlers_.contains(d.dst)) {
+  if (!maybe_bound(d.dst.addr) || !handlers_.contains(d.dst)) {
     ++dropped_unbound_;
     return;
   }
@@ -90,23 +90,25 @@ void Network::send(Datagram d) {
   });
 }
 
-void Network::send_batch(std::span<const PacketView> pkts) {
+void Network::send_batch(std::span<const PacketView> pkts,
+                         PayloadFn payload_of) {
   if (pkts.empty()) return;
   const SimTime now = loop_.now();
   sent_ += pkts.size();
-  // Batch-aware taps observe the whole span in one call; taps without a
-  // batch half see each packet as a Datagram, which requires materializing
-  // a pool buffer per item (only legacy single-tap users pay this).
+  // Batch-aware taps observe the whole span in one call and build only the
+  // bytes they read; taps without a batch half see each packet as a
+  // Datagram, which requires building and pooling every payload (only
+  // test and bench taps pay this).
   bool singles_only_taps = false;
   for (const auto& tap : taps_) {
     if (tap.batch)
-      tap.batch(now, pkts);
+      tap.batch(now, pkts, payload_of);
     else
       singles_only_taps = true;
   }
   if (singles_only_taps) {
-    for (const PacketView& p : pkts) {
-      const Datagram d{p.src, p.dst, pool_.acquire(p.payload)};
+    for (std::size_t i = 0; i < pkts.size(); ++i) {
+      const Datagram d{pkts[i].src, pkts[i].dst, pool_.acquire(payload_of(i))};
       for (const auto& tap : taps_)
         if (!tap.batch) tap.single(now, d);
     }
@@ -116,14 +118,16 @@ void Network::send_batch(std::span<const PacketView> pkts) {
   // sharing (dst, deliver time) accumulate into one grouped delivery; the
   // group is scheduled when it closes, which is where the *first* member's
   // per-packet event would have gone — nothing else schedules in between,
-  // so every relative event order is preserved.
+  // so every relative event order is preserved. A lost or unbound packet
+  // costs a counter: its bytes are never built.
   DatagramBatch* open = nullptr;
-  for (const PacketView& p : pkts) {
+  for (std::size_t i = 0; i < pkts.size(); ++i) {
+    const PacketView& p = pkts[i];
     if (loss_rate_ > 0.0 && rng_.chance(loss_rate_)) {
       ++dropped_loss_;
       continue;
     }
-    if (!maybe_bound(p.dst) || !handlers_.contains(p.dst)) {
+    if (!maybe_bound(p.dst.addr) || !handlers_.contains(p.dst)) {
       ++dropped_unbound_;
       continue;
     }
@@ -140,7 +144,7 @@ void Network::send_batch(std::span<const PacketView> pkts) {
       open->dst = p.dst;
     }
     open->srcs.push_back(p.src);
-    open->payloads.push_back(pool_.acquire(p.payload));
+    open->payloads.push_back(pool_.acquire(payload_of(i)));
   }
   if (open != nullptr) schedule_group(open);
 }

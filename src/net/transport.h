@@ -10,10 +10,14 @@
 //
 //   * send(): one datagram, one delivery event, per-packet tap calls. The
 //     reference path — everything below is defined as equivalent to it.
-//   * send_batch(): a span of PacketViews accepted in order. Batch-aware
-//     taps observe the whole span in one call; per-item RNG draws (loss,
-//     then latency for bound packets) happen in exactly the order send()
-//     would have made them; consecutive packets sharing (dst, deliver time)
+//   * send_batch(): a span of PacketViews (endpoints only) accepted in
+//     order, plus one PayloadFn that builds packet i's bytes on demand.
+//     Bytes are built only where something reads them: for packets about
+//     to be delivered (not lost, bound at the destination) and for taps
+//     that ask. Batch-aware taps observe the whole span in one call;
+//     per-item RNG draws (loss, then latency for bound packets) happen in
+//     exactly the order send() would have made them; consecutive packets
+//     sharing (dst, deliver time)
 //     group into one struct-of-arrays DatagramBatch and are delivered to
 //     the destination host in a single call. Because grouped packets were
 //     scheduled consecutively (their delivery events would have carried
@@ -31,6 +35,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -63,15 +68,41 @@ struct Datagram {
   PayloadRef payload;
 };
 
-/// One not-yet-accepted packet in a send_batch() span: borrowed payload
-/// bytes (still in the sender's scratch), no pool buffer yet. The network
-/// copies into a pooled buffer only for packets that are actually going to
-/// be delivered — unbound destinations (the overwhelming majority of probes
-/// in an internet-scale scan) never touch the pool.
+/// One not-yet-accepted packet in a send_batch() span: its endpoints only.
+/// The bytes do not exist yet; the batch's PayloadFn builds them when
+/// something reads them. In an internet-scale scan almost every probe goes
+/// to an address where nothing is bound, and such a probe's bytes are never
+/// built unless a tap asks for them.
 struct PacketView {
   Endpoint src;
   Endpoint dst;
-  std::span<const std::uint8_t> payload;
+};
+
+/// Non-owning reference to a sender's payload builder: `payload_of(i)` is
+/// the bytes of packet i of the span it was passed with. The span it
+/// returns may alias the sender's scratch, so it is valid only until the
+/// next call; readers copy or consume it at once. It must be a pure
+/// function of i: any reader, in any order, sees the same bytes.
+class PayloadFn {
+ public:
+  // The builder must return the span itself: a builder returning a vector
+  // by value would hand out bytes that die with the call.
+  template <typename F>
+    requires(!std::is_same_v<F, PayloadFn> &&
+             std::is_same_v<std::invoke_result_t<const F&, std::size_t>,
+                            std::span<const std::uint8_t>>)
+  PayloadFn(const F& f) noexcept  // NOLINT(google-explicit-constructor)
+      : obj_(&f), call_([](const void* o, std::size_t i) {
+          return (*static_cast<const F*>(o))(i);
+        }) {}
+
+  std::span<const std::uint8_t> operator()(std::size_t i) const {
+    return call_(obj_, i);
+  }
+
+ private:
+  const void* obj_;
+  std::span<const std::uint8_t> (*call_)(const void*, std::size_t);
 };
 
 /// A group of in-flight datagrams sharing one destination endpoint and one
@@ -97,7 +128,10 @@ class Network {
   using Handler = std::function<void(const Datagram&)>;
   using BatchHandler = std::function<void(const DatagramBatch&)>;
   using Tap = std::function<void(SimTime, const Datagram&)>;
-  using BatchTap = std::function<void(SimTime, std::span<const PacketView>)>;
+  /// A batch tap gets the span and its PayloadFn; it calls payload_of(i)
+  /// only for the packets whose bytes it reads.
+  using BatchTap =
+      std::function<void(SimTime, std::span<const PacketView>, PayloadFn)>;
 
   explicit Network(EventLoop& loop, std::uint64_t seed = 1);
   ~Network();
@@ -131,19 +165,20 @@ class Network {
   }
 
   /// Accept a span of packets in order, equivalent to calling send() on
-  /// each. Differences are purely mechanical: batch taps see the span in
-  /// one call, pool buffers are acquired only for bound destinations, and
-  /// consecutive packets with equal (dst, deliver time) share one grouped
-  /// delivery event. RNG draw order (per-packet loss, then latency for
-  /// bound packets) is identical to the per-packet path, so a batched
-  /// sender produces a bit-identical simulation.
-  void send_batch(std::span<const PacketView> pkts);
+  /// each with payload_of(i) as packet i's bytes. Differences are purely
+  /// mechanical: batch taps see the span in one call, payload_of is called
+  /// (and a pool buffer acquired) only for packets that will be delivered
+  /// or that a tap reads, and consecutive packets with equal (dst, deliver
+  /// time) share one grouped delivery event. RNG draw order (per-packet
+  /// loss, then latency for bound packets) is identical to the per-packet
+  /// path, so a batched sender produces a bit-identical simulation.
+  void send_batch(std::span<const PacketView> pkts, PayloadFn payload_of);
 
   /// Install a tap observing every datagram accepted into the network
   /// (before loss is applied), stamped with the send time. A tap installed
   /// without a batch half sees batched sends item by item (each packet
-  /// materialized into a pool buffer first — fine for tests and benches,
-  /// but the campaign vantage registers both halves).
+  /// built and materialized into a pool buffer first — fine for tests and
+  /// benches, but the campaign vantage registers both halves).
   void add_tap(Tap tap) { taps_.push_back(TapEntry{std::move(tap), nullptr}); }
   void add_tap(Tap single, BatchTap batch) {
     taps_.push_back(TapEntry{std::move(single), std::move(batch)});
@@ -205,22 +240,27 @@ class Network {
 
   SimTime sample_latency();
 
-  // One-sided Bloom-style filter over bound endpoints. In an internet-scale
-  // scan the overwhelming majority of probes go to addresses nothing is
-  // bound at; a set bit is only a *hint* (hash collisions, stale bits after
-  // unbind), so a hit falls through to the real handlers_ lookup — but a
-  // clear bit proves the endpoint was never bound and skips the hash-map
-  // probe entirely. 2^18 bits = 32 KiB, resident in L1/L2 on the hot path.
-  static constexpr std::size_t kFilterWords = std::size_t{1} << 12;
-  static constexpr std::uint64_t filter_hash(Endpoint e) noexcept {
-    return util::mix64((std::uint64_t{e.addr.value()} << 16) | e.port) >> 46;
+  // One-sided filter over the addresses that have ever had an endpoint
+  // bound. In an internet-scale scan almost every probe goes to an address
+  // where nothing is bound; a clear bit proves that and skips the hash-map
+  // probe. A set bit is only a hint (hash collisions, or an address whose
+  // every endpoint has since unbound), so a hit falls through to the exact
+  // handlers_ lookup. The filter is keyed by address alone, not by port:
+  // an ephemeral upstream port is bound on a resolver address that is
+  // already bound at :53, so binding and unbinding ports sets no new bit,
+  // and unbind() never has to clear one. 2^20 bits = 128 KiB.
+  static constexpr int kFilterBits = 20;
+  static constexpr std::size_t kFilterWords = std::size_t{1}
+                                              << (kFilterBits - 6);
+  static constexpr std::uint64_t filter_hash(IPv4Addr a) noexcept {
+    return util::mix64(a.value()) >> (64 - kFilterBits);
   }
-  void note_bound(Endpoint e) noexcept {
-    const std::uint64_t h = filter_hash(e);
+  void note_bound(IPv4Addr a) noexcept {
+    const std::uint64_t h = filter_hash(a);
     bound_filter_[h >> 6] |= std::uint64_t{1} << (h & 63);
   }
-  bool maybe_bound(Endpoint e) const noexcept {
-    const std::uint64_t h = filter_hash(e);
+  bool maybe_bound(IPv4Addr a) const noexcept {
+    const std::uint64_t h = filter_hash(a);
     return (bound_filter_[h >> 6] >> (h & 63)) & 1;
   }
 

@@ -36,12 +36,8 @@ Scanner::Scanner(net::Network& network, net::IPv4Addr prober_addr,
         codec_scratch_);
   }
 
-  pending_off_.reserve(config_.batch_size);
-  pending_len_.reserve(config_.batch_size);
-  pending_dst_.reserve(config_.batch_size);
   pending_views_.reserve(config_.batch_size);
-  pending_bytes_.reserve(config_.batch_size *
-                         std::max<std::size_t>(probe_tpl_.size(), 64));
+  pending_vars_.reserve(config_.batch_size);
 }
 
 void Scanner::start(DoneCallback done) {
@@ -63,10 +59,11 @@ void Scanner::send_batch() {
   }
 
   // The limiter paces *packets on the wire*; excluded addresses cost a
-  // permutation step but no send budget (as in ZMap). Probes stage into the
-  // pending arena and leave as one bulk hand-off below — nothing in this
-  // loop draws network RNG or schedules, so deferring the hand-off keeps
-  // every draw and every event seq exactly where per-probe sends put them.
+  // permutation step but no send budget (as in ZMap). Probes stage as
+  // endpoints plus stamp vars and leave as one bulk hand-off below —
+  // nothing in this loop draws network RNG or schedules, so deferring the
+  // hand-off keeps every draw and every event seq exactly where per-probe
+  // sends put them.
   bool rotated = false;
   std::uint32_t rotated_to = 0;
   for (std::uint64_t sent = 0;
@@ -139,41 +136,36 @@ void Scanner::send_one_probe(net::IPv4Addr target) {
       next_trace_index_ = index - index % every + every;
     }
   }
-  // Stage the wire bytes. Common ids stamp the pre-encoded template (txn +
-  // two fixed-width digit runs); wider ids take the full make_query/encode
-  // path, byte-identical to what the stamp produces inside its widths.
-  const std::size_t off = pending_bytes_.size();
+  // Stage the probe: its endpoints and the vars its bytes are a function
+  // of. The template/fallback split is counted here, where the probe is
+  // sent; the bytes are built only if something reads them (probe_bytes).
   const dns::StampVars vars{txn, id.cluster, id.index, 0, 0};
-  if (probe_tpl_.covers(vars)) {
-    probe_tpl_.stamp_append(vars, pending_bytes_);
-    pending_len_.push_back(static_cast<std::uint32_t>(probe_tpl_.size()));
+  if (probe_tpl_.covers(vars))
     ++stats_.template_stamped;
-  } else {
-    const dns::DnsName qname = clusters_.scheme().qname(id);
-    const dns::Message query = dns::make_query(txn, qname, config_.qtype);
-    const auto wire = dns::encode_into(query, codec_scratch_);
-    pending_bytes_.insert(pending_bytes_.end(), wire.begin(), wire.end());
-    pending_len_.push_back(static_cast<std::uint32_t>(wire.size()));
+  else
     ++stats_.template_fallback;
-  }
-  pending_off_.push_back(static_cast<std::uint32_t>(off));
-  pending_dst_.push_back(target);
+  pending_views_.push_back(net::PacketView{
+      {addr_, kProberPort}, {target, net::kDnsPort}});
+  pending_vars_.push_back(vars);
 }
 
 void Scanner::flush_pending() {
-  if (pending_dst_.empty()) return;
+  if (pending_views_.empty()) return;
+  network_.send_batch(pending_views_, [this](std::size_t i) {
+    return probe_bytes(pending_vars_[i]);
+  });
   pending_views_.clear();
-  const std::uint8_t* base = pending_bytes_.data();
-  const net::Endpoint src{addr_, kProberPort};
-  for (std::size_t i = 0; i < pending_dst_.size(); ++i)
-    pending_views_.push_back(net::PacketView{
-        src, net::Endpoint{pending_dst_[i], net::kDnsPort},
-        {base + pending_off_[i], pending_len_[i]}});
-  network_.send_batch(pending_views_);
-  pending_bytes_.clear();
-  pending_off_.clear();
-  pending_len_.clear();
-  pending_dst_.clear();
+  pending_vars_.clear();
+}
+
+std::span<const std::uint8_t> Scanner::probe_bytes(const dns::StampVars& v) {
+  // Common ids stamp the pre-encoded template (txn + two fixed-width digit
+  // runs); wider ids take the full make_query/encode path, byte-identical
+  // to what the stamp produces inside its widths.
+  if (probe_tpl_.covers(v)) return probe_tpl_.stamp(v, codec_scratch_);
+  const dns::DnsName qname = clusters_.scheme().qname({v.cluster, v.index});
+  return dns::encode_into(dns::make_query(v.txn, qname, config_.qtype),
+                          codec_scratch_);
 }
 
 void Scanner::on_batch(const net::DatagramBatch& b) {

@@ -178,6 +178,9 @@ class Scanner : private net::StreamHandler {
   void send_batch();
   void send_one_probe(net::IPv4Addr target);
   void flush_pending();
+  /// Probe `v`'s wire bytes, built in codec scratch (valid until its next
+  /// use) — the PayloadFn behind every send_batch the scanner makes.
+  std::span<const std::uint8_t> probe_bytes(const dns::StampVars& v);
   void on_datagram(const net::Datagram& d);
   void on_batch(const net::DatagramBatch& b);
   /// Hand one response to the R2 callback — the single classification
@@ -246,14 +249,13 @@ class Scanner : private net::StreamHandler {
   // make_query/encode path instead, producing identical bytes.
   dns::WireTemplate probe_tpl_;
 
-  // Batched-send staging: probe wire bytes accumulate here (offsets, not
-  // pointers — the arena reallocates as it grows) and leave as one
-  // Network::send_batch call per send event.
-  std::vector<std::uint8_t> pending_bytes_;
-  std::vector<std::uint32_t> pending_off_;
-  std::vector<std::uint32_t> pending_len_;
-  std::vector<net::IPv4Addr> pending_dst_;
+  // Batched-send staging: per probe only its endpoints and stamp vars,
+  // handed to one Network::send_batch call per send event. No bytes are
+  // staged: the network calls probe_bytes() for a probe only if it will be
+  // delivered or a tap reads it, so a probe into empty address space is
+  // never built at all.
   std::vector<net::PacketView> pending_views_;
+  std::vector<dns::StampVars> pending_vars_;
 
   // Pooled retry slots: a free list plus linear scans (the active set is
   // the handful of in-flight retries, and the steady-state path must not

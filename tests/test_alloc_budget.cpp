@@ -117,8 +117,8 @@ TEST(AllocBudget, EncodeIntoWarmScratchAllocatesNothing) {
 }
 
 // The template-stamped wire path: once a template is derived and the stamp
-// scratch / staging arena are warm, producing a packet (memcpy + field
-// pokes) and recognizing one (segment memcmps) never touch the allocator.
+// scratch is warm, producing a packet (memcpy + field pokes) and
+// recognizing one (segment memcmps) never touch the allocator.
 TEST(AllocBudget, TemplateStampAndMatchAllocateNothing) {
   const auto scheme = probe_scheme();
   EncodeBuffer scratch;
@@ -138,16 +138,6 @@ TEST(AllocBudget, TemplateStampAndMatchAllocateNothing) {
     }
   });
   EXPECT_EQ(n_stamp, 0u) << "stamping into warm scratch must not allocate";
-
-  std::vector<std::uint8_t> arena;
-  arena.reserve(100 * tpl.size());  // the scanner pre-sizes its staging arena
-  const auto n_append = count_allocs([&] {
-    for (int i = 0; i < 100; ++i) {
-      v.index = static_cast<std::uint32_t>(i);
-      tpl.stamp_append(v, arena);
-    }
-  });
-  EXPECT_EQ(n_append, 0u) << "batch staging must reuse the reserved arena";
 
   const auto wire = tpl.stamp(v, scratch);
   StampVars out;
@@ -273,6 +263,63 @@ TEST(AllocBudget, SteadyStateSendDeliverCaptureIsAllocationFree) {
   EXPECT_EQ(handled, 2u * kBatch);
   EXPECT_EQ(store.packet_count(), 2u * kBatch);
   EXPECT_EQ(net.pool().slab_count(), static_cast<std::size_t>(kBatch));
+}
+
+// The scanner's send shape: one send_batch of 64 probes into unbound space
+// and one to a bound resolver, with the prober vantage's capture tapped in
+// and a payload_of that stamps the probe template into warm scratch. Once
+// the pool, group records and event heap are warm, the batch — staging
+// nothing but endpoints, building only the delivered probe's bytes — never
+// touches the allocator.
+TEST(AllocBudget, WarmScannerShapedSendBatchAllocatesNothing) {
+  const auto scheme = probe_scheme();
+  EncodeBuffer scratch;
+  const WireTemplate tpl = WireTemplate::derive(
+      [&](const StampVars& v) {
+        return make_query(v.txn, scheme.qname({v.cluster, v.index}));
+      },
+      scratch);
+  ASSERT_TRUE(tpl.ok());
+
+  net::EventLoop loop;
+  net::Network net{loop, 1};
+  const net::Endpoint prober{net::IPv4Addr(1, 1, 1, 1), 54321};
+  const net::Endpoint resolver{net::IPv4Addr(2, 2, 2, 2), net::kDnsPort};
+  std::uint64_t handled = 0;
+  net.bind(resolver, [&handled](const net::Datagram&) { ++handled; });
+  net::CaptureStore store;
+  store.attach(net, prober.addr);  // outbound probes: counted, not built
+
+  std::vector<net::PacketView> pkts;
+  std::vector<StampVars> vars;
+  for (std::uint32_t i = 0; i < 65; ++i) {
+    const net::Endpoint dst =
+        i == 32 ? resolver
+                : net::Endpoint{net::IPv4Addr(0x0B000000u + i * 7919u),
+                                net::kDnsPort};
+    pkts.push_back({prober, dst});
+    vars.push_back(StampVars{static_cast<std::uint16_t>(i + 1), 3,
+                             1000000 + i, 0, 0});
+  }
+  std::uint64_t built = 0;
+  const auto payload_of = [&](std::size_t i) {
+    ++built;
+    return tpl.stamp(vars[i], scratch);
+  };
+  net.send_batch(pkts, payload_of);  // warm pool, group record, event heap
+  loop.run();
+
+  const auto n = count_allocs([&] {
+    for (int round = 0; round < 100; ++round) {
+      net.send_batch(pkts, payload_of);
+      loop.run();
+    }
+  });
+  EXPECT_EQ(n, 0u) << "a warm scanner-shaped send_batch must not allocate";
+  EXPECT_EQ(built, 101u);  // one delivered probe per batch, nothing else
+  EXPECT_EQ(handled, 101u);
+  EXPECT_EQ(net.dropped_unbound(), 101u * 64);
+  EXPECT_EQ(store.packet_count(), 101u * 65);
 }
 
 // The same round trip with the observability layer attached: per-event

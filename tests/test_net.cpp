@@ -443,6 +443,36 @@ TEST_F(NetworkTest, RebindReplacesHandler) {
 
 // ---- Batched dispatch ------------------------------------------------------
 
+/// An eager sender's batch: every packet's bytes exist before the send, and
+/// payload_of() hands them out by index.
+struct EagerBatch {
+  std::vector<PacketView> pkts;
+  std::vector<std::vector<std::uint8_t>> bytes;
+
+  void add(Endpoint src, Endpoint dst, std::vector<std::uint8_t> b) {
+    pkts.push_back({src, dst});
+    bytes.push_back(std::move(b));
+  }
+  /// The PayloadFn body for packets [first, ...) of this batch.
+  auto payload_of(std::size_t first = 0) const {
+    return [this, first](std::size_t i) {
+      return std::span<const std::uint8_t>(bytes[first + i]);
+    };
+  }
+};
+
+/// A lazy sender's PayloadFn that counts how often the network (or a tap)
+/// builds a packet; packet i's bytes are {i}.
+struct CountingPayload {
+  mutable int calls = 0;
+  mutable std::vector<std::uint8_t> scratch;
+  std::span<const std::uint8_t> operator()(std::size_t i) const {
+    ++calls;
+    scratch.assign({static_cast<std::uint8_t>(i)});
+    return scratch;
+  }
+};
+
 // send_batch() is *defined* as equivalent to per-packet send(): same RNG
 // draw order, same delivery times, same arrival order — under loss and
 // jitter. Two networks with identical seeds, one per mode, must agree.
@@ -458,15 +488,13 @@ TEST(NetworkBatch, SendBatchBitIdenticalToPerPacketSends) {
     net.bind(dst, [&](const Datagram& d) {
       arrivals.emplace_back(loop.now().as_nanos(), d.payload[0]);
     });
-    std::vector<std::vector<std::uint8_t>> payloads;
+    EagerBatch batch;
     for (int i = 0; i < 64; ++i)
-      payloads.push_back({static_cast<std::uint8_t>(i)});
+      batch.add(src, dst, {static_cast<std::uint8_t>(i)});
     if (batched) {
-      std::vector<PacketView> pkts;
-      for (const auto& p : payloads) pkts.push_back({src, dst, p});
-      net.send_batch(pkts);
+      net.send_batch(batch.pkts, batch.payload_of());
     } else {
-      for (const auto& p : payloads) net.send(src, dst, p);
+      for (const auto& p : batch.bytes) net.send(src, dst, p);
     }
     loop.run();
     return std::tuple(arrivals, net.delivered(), net.dropped_loss());
@@ -491,10 +519,10 @@ TEST_F(NetworkTest, BatchedSendPreservesTieBreakAcrossBoundaries) {
           order.push_back("batch:" + std::to_string(g.payloads[i][0]));
       });
   loop.schedule_at(SimTime::millis(10), [&] { order.push_back("before"); });
-  const std::vector<std::uint8_t> p1{1};
-  const std::vector<std::uint8_t> p2{2};
-  const PacketView pkts[] = {{a, b, p1}, {a, b, p2}};
-  net.send_batch(pkts);
+  EagerBatch batch;
+  batch.add(a, b, {1});
+  batch.add(a, b, {2});
+  net.send_batch(batch.pkts, batch.payload_of());
   loop.schedule_at(SimTime::millis(10), [&] { order.push_back("after"); });
   loop.run();
   EXPECT_EQ(order, (std::vector<std::string>{"before", "batch:1", "batch:2",
@@ -507,11 +535,9 @@ TEST_F(NetworkTest, BatchFallsBackToSingleHandlerPerItem) {
   net.set_latency({SimTime::millis(10), SimTime()});
   std::vector<int> seen;
   net.bind(b, [&](const Datagram& d) { seen.push_back(d.payload[0]); });
-  const std::vector<std::uint8_t> p1{1};
-  const std::vector<std::uint8_t> p2{2};
-  const std::vector<std::uint8_t> p3{3};
-  const PacketView pkts[] = {{a, b, p1}, {a, b, p2}, {a, b, p3}};
-  net.send_batch(pkts);
+  EagerBatch batch;
+  for (std::uint8_t i = 1; i <= 3; ++i) batch.add(a, b, {i});
+  net.send_batch(batch.pkts, batch.payload_of());
   loop.run();
   EXPECT_EQ(seen, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(net.delivered(), 3u);
@@ -527,9 +553,9 @@ TEST_F(NetworkTest, FallbackRechecksBindingBetweenItems) {
     ++got;
     net.unbind(b);
   });
-  const std::vector<std::uint8_t> p{7};
-  const PacketView pkts[] = {{a, b, p}, {a, b, p}, {a, b, p}};
-  net.send_batch(pkts);
+  EagerBatch batch;
+  for (int i = 0; i < 3; ++i) batch.add(a, b, {7});
+  net.send_batch(batch.pkts, batch.payload_of());
   loop.run();
   EXPECT_EQ(got, 1);
   EXPECT_EQ(net.delivered(), 1u);
@@ -550,12 +576,9 @@ TEST_F(NetworkTest, GroupCapSplitsDeliveriesInvisibly) {
         for (std::size_t i = 0; i < g.size(); ++i)
           order.push_back(g.payloads[i][0]);
       });
-  std::vector<std::vector<std::uint8_t>> payloads;
-  for (int i = 0; i < 5; ++i)
-    payloads.push_back({static_cast<std::uint8_t>(i)});
-  std::vector<PacketView> pkts;
-  for (const auto& p : payloads) pkts.push_back({a, b, p});
-  net.send_batch(pkts);
+  EagerBatch batch;
+  for (std::uint8_t i = 0; i < 5; ++i) batch.add(a, b, {i});
+  net.send_batch(batch.pkts, batch.payload_of());
   loop.run();
   EXPECT_EQ(sizes, (std::vector<std::size_t>{2, 2, 1}));
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -565,14 +588,92 @@ TEST_F(NetworkTest, GroupCapSplitsDeliveriesInvisibly) {
 // Unbound destinations in a batch never touch the payload pool — the
 // dominant case of an internet-scale scan (most probes hit nothing).
 TEST_F(NetworkTest, BatchSkipsPoolForUnboundDestinations) {
-  const std::vector<std::uint8_t> p{1, 2, 3};
-  std::vector<PacketView> pkts;
-  for (int i = 0; i < 32; ++i) pkts.push_back({a, b, p});  // b unbound
-  net.send_batch(pkts);
+  EagerBatch batch;
+  for (int i = 0; i < 32; ++i) batch.add(a, b, {1, 2, 3});  // b unbound
+  net.send_batch(batch.pkts, batch.payload_of());
   loop.run();
   EXPECT_EQ(net.dropped_unbound(), 32u);
   EXPECT_EQ(net.pool().slab_count(), 0u);
   EXPECT_EQ(net.sent(), 32u);
+}
+
+// With no taps, a packet's bytes are built only if it will be delivered:
+// three probes into unbound space and one to a bound endpoint build one
+// payload, and it is the delivered packet's.
+TEST_F(NetworkTest, BatchBuildsBytesOnlyForDeliveredPackets) {
+  std::vector<int> seen;
+  net.bind(b, [&](const Datagram& d) { seen.push_back(d.payload[0]); });
+  const std::vector<PacketView> pkts = {
+      {a, {IPv4Addr(3, 3, 3, 3), 53}},
+      {a, {IPv4Addr(4, 4, 4, 4), 53}},
+      {a, b},
+      {a, {IPv4Addr(5, 5, 5, 5), 53}},
+  };
+  const CountingPayload payload;
+  net.send_batch(pkts, payload);
+  loop.run();
+  EXPECT_EQ(payload.calls, 1);
+  EXPECT_EQ(seen, (std::vector<int>{2}));
+  EXPECT_EQ(net.dropped_unbound(), 3u);
+}
+
+// A lost packet is never built either, bound destination or not.
+TEST_F(NetworkTest, BatchNeverBuildsLostPackets) {
+  net.set_loss_rate(1.0);
+  net.bind(b, [](const Datagram&) {});
+  const std::vector<PacketView> pkts = {{a, b}, {a, b}, {a, b}, {b, a}};
+  const CountingPayload payload;
+  net.send_batch(pkts, payload);
+  loop.run();
+  EXPECT_EQ(payload.calls, 0);
+  EXPECT_EQ(net.dropped_loss(), 4u);
+  EXPECT_EQ(net.delivered(), 0u);
+}
+
+// A batch tap that reads bytes builds every packet it reads — delivered or
+// not — and sees exactly the bytes an eager per-packet send would carry.
+TEST_F(NetworkTest, ByteReadingBatchTapSeesEagerBytes) {
+  net.bind(b, [](const Datagram&) {});
+  const std::vector<PacketView> pkts = {
+      {a, {IPv4Addr(3, 3, 3, 3), 53}},
+      {a, b},
+      {a, {IPv4Addr(4, 4, 4, 4), 53}},
+      {a, {IPv4Addr(5, 5, 5, 5), 53}},
+  };
+  using Seen = std::vector<std::pair<Endpoint, std::vector<std::uint8_t>>>;
+  const auto tap_into = [](Network& n, Seen& seen) {
+    n.add_tap(
+        [&seen](SimTime, const Datagram& d) {
+          seen.emplace_back(d.dst, d.payload.to_vector());
+        },
+        [&seen](SimTime, std::span<const PacketView> s, PayloadFn payload_of) {
+          for (std::size_t i = 0; i < s.size(); ++i) {
+            const auto bytes = payload_of(i);
+            seen.emplace_back(s[i].dst, std::vector<std::uint8_t>(
+                                            bytes.begin(), bytes.end()));
+          }
+        });
+  };
+  Seen lazy_seen;
+  tap_into(net, lazy_seen);
+  const CountingPayload payload;
+  net.send_batch(pkts, payload);
+  loop.run();
+  // Every packet once for the tap, plus the delivered one for its pool
+  // buffer.
+  EXPECT_EQ(payload.calls, 5);
+
+  EventLoop eager_loop;
+  Network eager_net{eager_loop, 99};
+  eager_net.bind(b, [](const Datagram&) {});
+  Seen eager_seen;
+  tap_into(eager_net, eager_seen);
+  for (std::size_t i = 0; i < pkts.size(); ++i)
+    eager_net.send(pkts[i].src, pkts[i].dst,
+                   std::vector<std::uint8_t>{static_cast<std::uint8_t>(i)});
+  eager_loop.run();
+  EXPECT_EQ(lazy_seen, eager_seen);
+  EXPECT_EQ(lazy_seen.size(), 4u);
 }
 
 // Batch-aware taps see the whole span once; the per-packet digest a
@@ -581,16 +682,46 @@ TEST_F(NetworkTest, BatchTapObservesWholeSpan) {
   std::size_t span_items = 0;
   int span_calls = 0;
   net.add_tap([](SimTime, const Datagram&) {},
-              [&](SimTime, std::span<const PacketView> s) {
+              [&](SimTime, std::span<const PacketView> s, PayloadFn) {
                 ++span_calls;
                 span_items += s.size();
               });
-  const std::vector<std::uint8_t> p{9};
-  const PacketView pkts[] = {{a, b, p}, {a, b, p}};
-  net.send_batch(pkts);
+  EagerBatch batch;
+  batch.add(a, b, {9});
+  batch.add(a, b, {9});
+  net.send_batch(batch.pkts, batch.payload_of());
   loop.run();
   EXPECT_EQ(span_calls, 1);
   EXPECT_EQ(span_items, 2u);
+}
+
+// Binding and unbinding ephemeral ports on a host bound at :53 (what every
+// recursive resolver's upstream queries do) leaves the binding set exact:
+// another host, and an unbound port on the same host, still drop, and :53
+// still delivers — by batch and by per-packet send alike.
+TEST_F(NetworkTest, EphemeralPortChurnKeepsBindingsExact) {
+  int at53 = 0;
+  net.bind(a, [&](const Datagram&) { ++at53; });
+  for (std::uint16_t port = 10000; port < 20000; ++port) {
+    net.bind({a.addr, port}, [](const Datagram&) {});
+    net.unbind({a.addr, port});
+  }
+  const Endpoint src{IPv4Addr(7, 7, 7, 7), 4000};
+  const Endpoint unbound_port{a.addr, 15000};
+  const std::vector<PacketView> pkts = {{src, b}, {src, unbound_port},
+                                        {src, a}};
+  const CountingPayload payload;
+  net.send_batch(pkts, payload);
+  net.send(src, b, std::vector<std::uint8_t>{1});
+  net.send(src, unbound_port, std::vector<std::uint8_t>{1});
+  net.send(src, a, std::vector<std::uint8_t>{1});
+  loop.run();
+  EXPECT_EQ(payload.calls, 1);
+  EXPECT_EQ(at53, 2);
+  EXPECT_EQ(net.delivered(), 2u);
+  EXPECT_EQ(net.dropped_unbound(), 4u);
+  EXPECT_FALSE(net.bound(unbound_port));
+  EXPECT_TRUE(net.bound(a));
 }
 
 // ---- Capture ---------------------------------------------------------------------
@@ -689,15 +820,13 @@ TEST(CaptureStore, MergedDigestIsShardOrderInsensitive) {
 // per-packet tap, observe(), bit for bit.
 namespace {
 
-/// Apply one span of packets to `ref` exactly as the per-packet tap would.
-void observe_singly(CaptureStore& ref, std::span<const PacketView> pkts,
+/// Apply one batch to `ref` exactly as the per-packet tap would.
+void observe_singly(CaptureStore& ref, const EagerBatch& batch,
                     IPv4Addr host) {
-  for (const PacketView& p : pkts) {
-    ref.observe(Datagram{p.src, p.dst,
-                         std::vector<std::uint8_t>(p.payload.begin(),
-                                                   p.payload.end())},
+  for (std::size_t i = 0; i < batch.pkts.size(); ++i)
+    ref.observe(Datagram{batch.pkts[i].src, batch.pkts[i].dst,
+                         batch.bytes[i]},
                 host);
-  }
 }
 
 void expect_stores_equal(const CaptureStore& a, const CaptureStore& b) {
@@ -712,26 +841,23 @@ TEST(CaptureStore, BatchDigestEqualsPerPacketEqualLengths) {
   // vantage, odd: a probe out of it), over batch sizes 1..9.
   const IPv4Addr host(9, 9, 9, 9);
   for (std::size_t n = 1; n <= 9; ++n) {
-    std::vector<std::vector<std::uint8_t>> payloads;
-    std::vector<PacketView> pkts;
-    for (std::size_t i = 0; i < n; ++i) {
-      payloads.push_back({std::uint8_t(i), std::uint8_t(i * 3 + 1), 0x55,
-                          std::uint8_t(0xF0 ^ i)});
-    }
+    EagerBatch batch;
     for (std::size_t i = 0; i < n; ++i) {
       const Endpoint vantage{host, 54321};
       const Endpoint peer{IPv4Addr(10, 0, 0, std::uint8_t(i + 1)), 53};
+      std::vector<std::uint8_t> bytes{std::uint8_t(i), std::uint8_t(i * 3 + 1),
+                                      0x55, std::uint8_t(0xF0 ^ i)};
       if (i % 2 == 0)
-        pkts.push_back({peer, vantage, payloads[i]});
+        batch.add(peer, vantage, std::move(bytes));
       else
-        pkts.push_back({vantage, peer, payloads[i]});
+        batch.add(vantage, peer, std::move(bytes));
     }
-    CaptureStore batch, single;
-    batch.observe_batch(pkts, host);
-    observe_singly(single, pkts, host);
-    expect_stores_equal(batch, single);
-    EXPECT_EQ(batch.packet_count(), n);
-    EXPECT_NE(batch.digest(), 0u);
+    CaptureStore lazy, single;
+    lazy.observe_batch(batch.pkts, batch.payload_of(), host);
+    observe_singly(single, batch, host);
+    expect_stores_equal(lazy, single);
+    EXPECT_EQ(lazy.packet_count(), n);
+    EXPECT_NE(lazy.digest(), 0u);
   }
 }
 
@@ -745,24 +871,33 @@ TEST(CaptureStore, BatchDigestEqualsPerPacketMixedLengthsAndDirections) {
   const std::vector<std::uint8_t> p2{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13};
   const std::vector<std::uint8_t> p3(64, 0xAB);
   const std::vector<std::uint8_t> p4(300, 0x00);           // zero-run heavy
-  const std::vector<PacketView> pkts = {
-      {{host, 54321}, {IPv4Addr(10, 0, 0, 1), 53}, p1},         // outbound
-      {{IPv4Addr(10, 0, 0, 1), 53}, {host, 54321}, p2},         // inbound
-      {{IPv4Addr(8, 8, 8, 8), 53}, {IPv4Addr(7, 7, 7, 7), 53}, p3},  // foreign
-      {{host, 54321}, {IPv4Addr(10, 0, 0, 2), 53}, p0},         // outbound
-      {{IPv4Addr(10, 0, 0, 3), 53}, {host, 54321}, p4},         // inbound
-      {{host, 54321}, {IPv4Addr(10, 0, 0, 4), 53}, p2},         // outbound
-      {{host, 54321}, {IPv4Addr(10, 0, 0, 5), 53}, p3},         // outbound
-  };
-  CaptureStore batch, single;
-  batch.observe_batch(pkts, host);
-  observe_singly(single, pkts, host);
-  expect_stores_equal(batch, single);
-  EXPECT_EQ(batch.packet_count(), 6u);  // the foreign packet is not observed
+  EagerBatch batch;
+  batch.add({host, 54321}, {IPv4Addr(10, 0, 0, 1), 53}, p1);      // outbound
+  batch.add({IPv4Addr(10, 0, 0, 1), 53}, {host, 54321}, p2);      // inbound
+  batch.add({IPv4Addr(8, 8, 8, 8), 53}, {IPv4Addr(7, 7, 7, 7), 53},
+            p3);                                                  // foreign
+  batch.add({host, 54321}, {IPv4Addr(10, 0, 0, 2), 53}, p0);      // outbound
+  batch.add({IPv4Addr(10, 0, 0, 3), 53}, {host, 54321}, p4);      // inbound
+  batch.add({host, 54321}, {IPv4Addr(10, 0, 0, 4), 53}, p2);      // outbound
+  batch.add({host, 54321}, {IPv4Addr(10, 0, 0, 5), 53}, p3);      // outbound
+  CaptureStore lazy, single;
+  int built = 0;
+  lazy.observe_batch(
+      batch.pkts,
+      [&](std::size_t i) {
+        ++built;
+        return std::span<const std::uint8_t>(batch.bytes[i]);
+      },
+      host);
+  observe_singly(single, batch, host);
+  expect_stores_equal(lazy, single);
+  EXPECT_EQ(lazy.packet_count(), 6u);  // the foreign packet is not observed
+  EXPECT_EQ(built, 2);  // only the inbound packets' bytes are read
   // Only the two inbound packets are digested.
   CaptureStore inbound;
-  inbound.observe_batch(std::array{pkts[1], pkts[4]}, host);
-  EXPECT_EQ(batch.digest(), inbound.digest());
+  inbound.observe(Datagram{batch.pkts[1].src, batch.pkts[1].dst, p2}, host);
+  inbound.observe(Datagram{batch.pkts[4].src, batch.pkts[4].dst, p4}, host);
+  EXPECT_EQ(lazy.digest(), inbound.digest());
 }
 
 TEST(CaptureStore, BatchSplitsProduceOneDigest) {
@@ -770,26 +905,47 @@ TEST(CaptureStore, BatchSplitsProduceOneDigest) {
   // yields one digest — the property that lets delivery_group_cap vary
   // without moving the capture digest.
   const IPv4Addr host(9, 9, 9, 9);
-  std::vector<std::vector<std::uint8_t>> payloads;
-  std::vector<PacketView> pkts;
+  EagerBatch batch;
   for (std::size_t i = 0; i < 7; ++i)
-    payloads.push_back(std::vector<std::uint8_t>(17 + i, std::uint8_t(i)));
-  for (std::size_t i = 0; i < 7; ++i)
-    pkts.push_back({{IPv4Addr(10, 0, 0, std::uint8_t(i + 1)), 53},
-                    {host, 54321},
-                    payloads[i]});
+    batch.add({IPv4Addr(10, 0, 0, std::uint8_t(i + 1)), 53}, {host, 54321},
+              std::vector<std::uint8_t>(17 + i, std::uint8_t(i)));
+  const std::span<const PacketView> pkts(batch.pkts);
 
   CaptureStore whole, split, singles;
-  whole.observe_batch(pkts, host);
-  split.observe_batch(std::span(pkts).first(3), host);
-  split.observe_batch(std::span(pkts).subspan(3), host);
-  for (const PacketView& p : pkts)
-    singles.observe_batch(std::span(&p, 1), host);
+  whole.observe_batch(pkts, batch.payload_of(), host);
+  split.observe_batch(pkts.first(3), batch.payload_of(), host);
+  split.observe_batch(pkts.subspan(3), batch.payload_of(3), host);
+  for (std::size_t i = 0; i < pkts.size(); ++i)
+    singles.observe_batch(pkts.subspan(i, 1), batch.payload_of(i), host);
   EXPECT_NE(whole.digest(), 0u);
   EXPECT_EQ(whole.digest(), split.digest());
   EXPECT_EQ(whole.digest(), singles.digest());
   EXPECT_EQ(whole.packet_count(), split.packet_count());
   EXPECT_EQ(whole.packet_count(), singles.packet_count());
+}
+
+// A store attached to a network sees inbound packets of a send_batch()
+// through its batch tap, reading their bytes via payload_of — and ends up
+// with the digest per-packet observe() gives the same packets.
+TEST(CaptureStore, InboundBatchThroughNetworkEqualsPerPacketObserve) {
+  EventLoop loop;
+  Network net{loop, 7};
+  const IPv4Addr host(9, 9, 9, 9);
+  CaptureStore tapped;
+  tapped.attach(net, host);
+  EagerBatch batch;
+  for (std::uint8_t i = 0; i < 5; ++i)
+    batch.add({IPv4Addr(10, 0, 0, std::uint8_t(i + 1)), 53}, {host, 54321},
+              std::vector<std::uint8_t>(3 + i, i));
+  batch.add({host, 54321}, {IPv4Addr(10, 0, 0, 9), 53}, {0xEE});  // outbound
+  net.send_batch(batch.pkts, batch.payload_of());
+  loop.run();
+
+  CaptureStore singly;
+  observe_singly(singly, batch, host);
+  expect_stores_equal(tapped, singly);
+  EXPECT_EQ(tapped.packet_count(), 6u);
+  EXPECT_NE(tapped.digest(), 0u);
 }
 
 TEST(CaptureStore, DigestChangesWithContent) {

@@ -10,7 +10,6 @@
 // derive() declining coupled or width-changing shapes.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -91,26 +90,6 @@ TEST(WireTemplate, ProbeQueryStampMatchesFullEncode) {
   const auto make = probe_factory(scheme);
   const WireTemplate tpl = WireTemplate::derive(make, scratch);
   expect_stamp_equals_encode(tpl, make);
-}
-
-TEST(WireTemplate, StampAppendMatchesStamp) {
-  const auto scheme = probe_scheme();
-  EncodeBuffer scratch;
-  const WireTemplate tpl = WireTemplate::derive(probe_factory(scheme), scratch);
-  ASSERT_TRUE(tpl.ok());
-
-  std::vector<std::uint8_t> arena;
-  const StampVars a{0xBEEF, 12, 3456789, 0, 0};
-  const StampVars b{0x0001, 999, 0, 0, 0};
-  tpl.stamp_append(a, arena);
-  tpl.stamp_append(b, arena);
-  ASSERT_EQ(arena.size(), 2 * tpl.size());
-
-  EncodeBuffer buf;
-  const auto wa = to_vec(tpl.stamp(a, buf));
-  const auto wb = to_vec(tpl.stamp(b, buf));
-  EXPECT_TRUE(std::equal(wa.begin(), wa.end(), arena.begin()));
-  EXPECT_TRUE(std::equal(wb.begin(), wb.end(), arena.begin() + tpl.size()));
 }
 
 /// The Q2 query shape the auth server recognizes: an iterative (RD=0) probe

@@ -50,17 +50,23 @@ class WireOracle {
     const net::IPv4Addr host = ctx.internet().prober_address();
     ctx.internet().network().add_tap(
         [slot, host](net::SimTime, const net::Datagram& d) {
-          fold(*slot, d.src, d.dst, d.payload, host);
+          fold(*slot, d.src, d.dst, host, [&] { return d.payload.span(); });
         },
-        [slot, host](net::SimTime, std::span<const net::PacketView> pkts) {
-          for (const net::PacketView& p : pkts)
-            fold(*slot, p.src, p.dst, p.payload, host);
+        [slot, host](net::SimTime, std::span<const net::PacketView> pkts,
+                     net::PayloadFn payload_of) {
+          // The oracle reads every prober packet's bytes, so it builds them
+          // even for probes the network drops unbuilt.
+          for (std::size_t i = 0; i < pkts.size(); ++i)
+            fold(*slot, pkts[i].src, pkts[i].dst, host,
+                 [&] { return payload_of(i); });
         });
   }
 
+  template <typename Bytes>
   static void fold(std::uint64_t& sum, net::Endpoint src, net::Endpoint dst,
-                   std::span<const std::uint8_t> payload, net::IPv4Addr host) {
+                   net::IPv4Addr host, const Bytes& bytes) {
     if (src.addr != host && dst.addr != host) return;
+    const std::span<const std::uint8_t> payload = bytes();
     sum += util::mix64(util::Fnv1a()
                            .word_bytes(src.addr.value())
                            .word_bytes(src.port)
