@@ -369,9 +369,9 @@ void write_bench_net_json(const char* path) {
   }
 
   {  // heap churn: interleaved deadlines with 4-deep same-deadline runs —
-     // every pop walks a full leaf path and every drain crosses a batch of
-     // equal timestamps, the pattern the Floyd pop + batch-drain rework
-     // targets (the plain ascending case above barely exercises either).
+     // every pop walks a full leaf path and ties on equal timestamps fall
+     // to the seq comparison, the pattern the Floyd pop targets (the plain
+     // ascending case above barely exercises either).
     LegacyLoop legacy_loop;
     net::EventLoop loop;
     std::uint64_t fired = 0;

@@ -11,10 +11,10 @@
 # a fixed buffer during heap sifts. A lifetime or aliasing mistake in any of
 # those would corrupt memory rather than fail a value assertion, and a
 # missed happens-before edge between shard loops would corrupt the merge —
-# this preset makes both loud. The batched dispatch path (EventLoop batch
-# drain, Network DatagramBatch pools, endpoint batch handlers, RRL
-# check_batch) rides along via test_net / test_pipeline / test_rrl, and the
-# stream transport (pooled connection slots, segment queues reusing the same
+# this preset makes both loud. The batched send path (Network::send_batch
+# building bytes on demand and scheduling one delivery event per surviving
+# datagram, handlers that unbind themselves mid-batch) rides along via
+# test_net / test_pipeline, RRL via test_rrl, and the stream transport (pooled connection slots, segment queues reusing the same
 # PayloadRef slabs, reassembly across capacity classes) via test_stream plus
 # the DoTCP-retry suites in test_prober / test_alloc_budget. Usage:
 #
@@ -49,7 +49,7 @@ cmake --build "$TSAN_BUILD_DIR" -j"$(nproc)" --target test_pipeline test_obs
 
 # PipelineSharding.* includes TcpFallbackSweepIsPinned, so the stream
 # transport runs under TSan with DoTCP fallback engaged across the
-# threads x batch-cap sweep, not just in single-threaded unit tests.
+# thread-count sweep, not just in single-threaded unit tests.
 echo "==== test_pipeline PipelineSharding.* (tsan) ===="
 "$TSAN_BUILD_DIR/tests/test_pipeline" --gtest_filter='PipelineSharding.*' ||
   status=1

@@ -34,10 +34,8 @@ AuthServer::AuthServer(net::Network& network, net::IPv4Addr addr,
   apex_zone_.add(dns::ResourceRecord{scheme_.sld().child("ns1"),
                                      dns::RRType::kA, dns::RRClass::kIN,
                                      172800, dns::ARdata{addr_}});
-  network_.bind_batch(
-      net::Endpoint{addr_, net::kDnsPort},
-      [this](const net::Datagram& d) { on_datagram(d); },
-      [this](const net::DatagramBatch& b) { on_batch(b); });
+  network_.bind(net::Endpoint{addr_, net::kDnsPort},
+                [this](const net::Datagram& d) { on_datagram(d); });
   if (wire_templates) {
     // The dominant Q2 shape: an iterative (RD=0) A query for a probe
     // subdomain carrying the engines' default EDNS OPT (4096, DO=0).
@@ -107,14 +105,6 @@ void AuthServer::load_cluster(std::uint32_t cluster, bool initial) {
 
 void AuthServer::add_record(dns::ResourceRecord rr) {
   apex_zone_.add(std::move(rr));
-}
-
-void AuthServer::on_batch(const net::DatagramBatch& b) {
-  // Span-order per-query processing; the auth server stays bound for the
-  // whole campaign, so this is exactly the per-packet path without the
-  // per-item binding re-check.
-  for (std::size_t i = 0; i < b.size(); ++i)
-    on_datagram(net::Datagram{b.srcs[i], b.dst, b.payloads[i]});
 }
 
 void AuthServer::on_datagram(const net::Datagram& d) {

@@ -117,9 +117,6 @@ class AuthServer : private net::StreamHandler {
 
  private:
   void on_datagram(const net::Datagram& d);
-  /// Grouped-delivery entry point: span-order per-query processing,
-  /// equivalent to one on_datagram call per item.
-  void on_batch(const net::DatagramBatch& b);
   /// DNS-over-TCP entry point (enable_tcp): full answers down the same
   /// connection, exempt from both the EDNS budget and udp_limit_. The
   /// stream vantage is not flow-traced — the TCP span points of a fallback

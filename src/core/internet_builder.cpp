@@ -148,13 +148,14 @@ SimulatedInternet::SimulatedInternet(const PopulationSpec& spec,
     : shard_id_(shard_id), shard_count_(shard_count) {
   if (shard_count == 0 || shard_id >= shard_count)
     throw std::invalid_argument("bad shard id/count");
+  if (config.loop_batch_cap != 0 || config.delivery_group_cap != 0)
+    throw std::invalid_argument("batch-dispatch caps are retired; only 0 "
+                                "is accepted");
 
   network_ = std::make_unique<net::Network>(
       loop_, shard_seed(config.seed, shard_id));
   network_->set_latency(config.latency);
   network_->set_loss_rate(config.loss_rate);
-  loop_.set_batch_cap(config.loop_batch_cap);
-  network_->set_delivery_group_cap(config.delivery_group_cap);
 
   auth_addr_ = kAuthAddr;
   prober_addr_ = kProberAddr;

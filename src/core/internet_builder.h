@@ -44,9 +44,10 @@ struct InternetConfig {
   net::LatencyModel latency;
   double loss_rate = 0.0;
   int root_count = 3;
-  /// Batch-dispatch knobs, forwarded to EventLoop::set_batch_cap and
-  /// Network::set_delivery_group_cap (0 = unbounded). Any value yields a
-  /// bit-identical simulation — the determinism suite sweeps them.
+  /// Retired batch-dispatch caps: nothing applies them (one event fires at
+  /// a time, one delivery event per datagram). They stay only because
+  /// perfbench's census_bench still copies them in; SimulatedInternet
+  /// throws std::invalid_argument for a nonzero value rather than ignore it.
   std::size_t loop_batch_cap = 0;
   std::size_t delivery_group_cap = 0;
   /// Pre-encoded wire templates for the auth server and the fabricating

@@ -39,16 +39,17 @@ struct PipelineConfig {
   /// deterministically: for a fixed (year, scale, seed) the analysis tables
   /// and capture digest are identical for every value.
   unsigned threads = 1;
-  /// Batch-dispatch caps (0 = unbounded): how many same-deadline events one
-  /// loop drain may run, and how many packets one grouped delivery may
-  /// carry. Purely mechanical knobs — every value produces byte-identical
-  /// tables and digests (the determinism suite sweeps them).
+  /// Retired batch-dispatch caps. The event loop fires one event at a time
+  /// and every datagram is its own delivery event, so there is nothing left
+  /// to cap; the fields stay only because perfbench's census_bench still
+  /// copies them, and they are forwarded to InternetConfig, where any
+  /// nonzero value throws std::invalid_argument.
   std::size_t loop_batch_cap = 0;
   std::size_t delivery_group_cap = 0;
   /// Stamp hot-path packets (probe queries, auth answers, fabricated
   /// responses) from pre-encoded, differentially verified wire templates.
   /// Either setting produces byte-identical tables and digests — the
-  /// determinism suite sweeps this knob alongside the batch caps.
+  /// determinism suite sweeps this knob.
   bool wire_templates = true;
   /// Observability: metrics registry, flow tracing, live progress. All off
   /// by default; enabling any of them changes no simulated behavior — the

@@ -57,10 +57,7 @@ ShardContext::ShardContext(const PopulationSpec& spec,
   const ShardSlice slice = shard_slice(spec.raw_steps, shard_id, shard_count);
 
   obs_.beacon = beacon;
-  if (obs_.metrics.enabled()) {
-    internet_.loop().set_metrics(&obs_.metrics);
-    internet_.network().set_metrics(&obs_.metrics);
-  }
+  if (obs_.metrics.enabled()) internet_.loop().set_metrics(&obs_.metrics);
   if (beacon != nullptr) internet_.loop().set_progress_beacon(&beacon->events);
   obs::FlowTracer* tracer = obs_.tracer.enabled() ? &obs_.tracer : nullptr;
   if (tracer != nullptr) {
@@ -101,7 +98,6 @@ void ShardContext::collect_metrics() {
   m.add(b.net_delivered, net.delivered());
   m.add(b.net_dropped_loss, net.dropped_loss());
   m.add(b.net_dropped_unbound, net.dropped_unbound());
-  m.add(b.net_batch_fallback_singles, net.batch_fallback_singles());
 
   const net::BufferPool& pool = internet_.network().pool();
   m.set_max(b.pool_slabs, pool.slab_count());

@@ -74,57 +74,30 @@ EventLoop::Event EventLoop::pop_top() noexcept {
   return top;
 }
 
-std::size_t EventLoop::fire_batch() {
-  // Drain the same-deadline run while the heap is consistent (actions run
-  // only after every drained event has left the heap), then fire in (at,
-  // seq) order — pop order. Events an action schedules carry larger seqs,
-  // so even same-deadline newcomers belong to a later batch; the execution
-  // order is identical to popping one event at a time.
-  Event first = pop_top();
-  if (batch_cap_ == 1 || heap_.empty() || heap_.front().at != first.at) {
-    // Singleton run — the common case when deadlines are distinct. Fire in
-    // place: the event has already left the heap, so the semantics match
-    // the staged path minus one move of the inline-closure record.
-    now_ = first.at;
-    if (metrics_ != nullptr) {
-      metrics_->observe(batch_size_h_, 1);
-      note_executed(first);
-    }
-    first.action();
-    ++executed_;
-    note_progress();
-    return 1;
+void EventLoop::fire_next() {
+  Event ev = pop_top();
+  now_ = ev.at;
+  if (metrics_ != nullptr) {
+    metrics_->add(events_run_h_);
+    metrics_->observe(time_in_queue_h_, ev.wait_us);
   }
-  batch_.clear();
-  batch_.push_back(std::move(first));
-  const SimTime at = batch_.front().at;
-  while (!heap_.empty() && heap_.front().at == at &&
-         (batch_cap_ == 0 || batch_.size() < batch_cap_))
-    batch_.push_back(pop_top());
-  now_ = at;
-  if (metrics_ != nullptr) metrics_->observe(batch_size_h_, batch_.size());
-  for (Event& ev : batch_) {
-    if (metrics_ != nullptr) note_executed(ev);
-    ev.action();
-    ++executed_;
-    note_progress();
-  }
-  const std::size_t n = batch_.size();
-  batch_.clear();  // destroy actions before the next drain reuses the slots
-  return n;
+  ev.action();
+  ++executed_;
+  if (progress_ != nullptr && (executed_ & 0xFF) == 0)
+    progress_->store(executed_, std::memory_order_relaxed);
 }
 
 std::uint64_t EventLoop::run() {
-  std::uint64_t count = 0;
-  while (!heap_.empty()) count += fire_batch();
-  return count;
+  const std::uint64_t before = executed_;
+  while (!heap_.empty()) fire_next();
+  return executed_ - before;
 }
 
 std::uint64_t EventLoop::run_until(SimTime deadline) {
-  std::uint64_t count = 0;
-  while (!heap_.empty() && heap_.front().at <= deadline) count += fire_batch();
+  const std::uint64_t before = executed_;
+  while (!heap_.empty() && heap_.front().at <= deadline) fire_next();
   if (now_ < deadline) now_ = deadline;
-  return count;
+  return executed_ - before;
 }
 
 }  // namespace orp::net

@@ -146,27 +146,15 @@ class EventLoop {
     schedule_at(now_ + delay, std::move(action));
   }
 
-  /// Run until the queue drains. Returns the number of events executed.
-  ///
-  /// Dispatch is batched: each iteration drains the full run of events
-  /// sharing the minimum deadline (up to the batch cap) into a flat scratch
-  /// span and fires them back to back. Because a run's events are removed
-  /// before any of them executes, an action scheduling new work at the same
-  /// deadline cannot jump the queue — the new event's seq is larger than
-  /// every drained seq, so it lands in the *next* batch, exactly where
-  /// per-event dispatch would have put it. Execution order is therefore
-  /// bit-identical to the one-pop-per-event loop for every cap.
+  /// Run until the queue drains, popping one event and firing it at a
+  /// time. An action that schedules work at the current deadline gets a
+  /// larger seq than every event already queued there, so it fires after
+  /// them. Returns the number of events executed.
   std::uint64_t run();
 
   /// Run until the queue drains or simulated time would pass `deadline`
   /// (an event exactly at the deadline still executes).
   std::uint64_t run_until(SimTime deadline);
-
-  /// Cap on how many same-deadline events one batch may drain (0 =
-  /// unbounded). Any value yields the same execution order; the knob exists
-  /// so the determinism suite can sweep caps {1, 8, 64, unbounded}.
-  void set_batch_cap(std::size_t cap) noexcept { batch_cap_ = cap; }
-  std::size_t batch_cap() const noexcept { return batch_cap_; }
 
   bool empty() const noexcept { return heap_.empty(); }
   std::size_t pending() const noexcept { return heap_.size(); }
@@ -185,7 +173,6 @@ class EventLoop {
       events_run_h_ = b.loop_events_run;
       queue_peak_h_ = b.loop_queue_peak;
       time_in_queue_h_ = b.loop_time_in_queue_us;
-      batch_size_h_ = b.loop_batch_size;
     }
   }
 
@@ -222,33 +209,18 @@ class EventLoop {
   /// made pop the most expensive step of the schedule/fire cycle.
   Event pop_top() noexcept;
 
-  /// Drain the run of events sharing the minimum deadline (bounded by
-  /// `batch_cap_`) into `batch_` and execute them in (at, seq) order.
-  /// Returns the number executed.
-  std::size_t fire_batch();
-
-  /// Telemetry for one executed event; called only when metrics_ is set.
-  void note_executed(const Event& ev) noexcept {
-    metrics_->add(events_run_h_);
-    metrics_->observe(time_in_queue_h_, ev.wait_us);
-  }
-  void note_progress() noexcept {
-    if (progress_ != nullptr && (executed_ & 0xFF) == 0)
-      progress_->store(executed_, std::memory_order_relaxed);
-  }
+  /// Pop the minimum event and execute it.
+  void fire_next();
 
   SimTime now_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::vector<Event> heap_;   // min-heap on (at, seq)
-  std::vector<Event> batch_;  // reused same-deadline run scratch (flat span)
-  std::size_t batch_cap_ = 0;  // 0 = unbounded
+  std::vector<Event> heap_;  // min-heap on (at, seq)
   obs::Metrics* metrics_ = nullptr;
   std::atomic<std::uint64_t>* progress_ = nullptr;
   obs::CounterHandle events_run_h_;
   obs::GaugeHandle queue_peak_h_;
   obs::HistogramHandle time_in_queue_h_;
-  obs::HistogramHandle batch_size_h_;
 };
 
 }  // namespace orp::net

@@ -34,16 +34,7 @@ StreamNet& Network::streams() {
 }
 
 void Network::bind(Endpoint ep, Handler handler) {
-  Binding& b = handlers_[ep];
-  b.single = std::move(handler);
-  b.batch = nullptr;
-  note_bound(ep.addr);
-}
-
-void Network::bind_batch(Endpoint ep, Handler single, BatchHandler batch) {
-  Binding& b = handlers_[ep];
-  b.single = std::move(single);
-  b.batch = std::move(batch);
+  handlers_[ep] = std::move(handler);
   note_bound(ep.addr);
 }
 
@@ -72,11 +63,13 @@ void Network::send(Datagram d) {
     ++dropped_unbound_;
     return;
   }
-  const SimTime deliver_at = loop_.now() + sample_latency();
-  // Copy the handler reference target by key lookup at delivery time, so a
-  // host that unbinds mid-flight drops the packet instead of touching a
-  // dangling callback.
-  loop_.schedule_at(deliver_at, [this, d = std::move(d)]() {
+  schedule_delivery(loop_.now() + sample_latency(), std::move(d));
+}
+
+void Network::schedule_delivery(SimTime at, Datagram d) {
+  // Look the handler up by key at delivery time, so a host that unbinds
+  // mid-flight drops the packet instead of touching a dangling callback.
+  loop_.schedule_at(at, [this, d = std::move(d)]() {
     const auto live = handlers_.find(d.dst);
     if (live == handlers_.end()) {
       ++dropped_unbound_;
@@ -85,7 +78,7 @@ void Network::send(Datagram d) {
     ++delivered_;
     // Copy before invoking: a handler may unbind itself (one-shot ephemeral
     // ports do), which would otherwise destroy the function mid-call.
-    const Handler handler = live->second.single;
+    const Handler handler = live->second;
     handler(d);
   });
 }
@@ -114,13 +107,9 @@ void Network::send_batch(std::span<const PacketView> pkts,
     }
   }
   // Per-packet draws in span order, exactly as send() would have made them:
-  // loss first, then (bound packets only) latency. Consecutive survivors
-  // sharing (dst, deliver time) accumulate into one grouped delivery; the
-  // group is scheduled when it closes, which is where the *first* member's
-  // per-packet event would have gone — nothing else schedules in between,
-  // so every relative event order is preserved. A lost or unbound packet
-  // costs a counter: its bytes are never built.
-  DatagramBatch* open = nullptr;
+  // loss first, then (bound packets only) latency, and each survivor gets
+  // the delivery event send() would have scheduled. A lost or unbound
+  // packet costs a counter: its bytes are never built.
   for (std::size_t i = 0; i < pkts.size(); ++i) {
     const PacketView& p = pkts[i];
     if (loss_rate_ > 0.0 && rng_.chance(loss_rate_)) {
@@ -131,72 +120,9 @@ void Network::send_batch(std::span<const PacketView> pkts,
       ++dropped_unbound_;
       continue;
     }
-    const SimTime deliver_at = now + sample_latency();
-    if (open != nullptr &&
-        (open->dst != p.dst || open->at != deliver_at ||
-         (group_cap_ != 0 && open->size() >= group_cap_))) {
-      schedule_group(open);
-      open = nullptr;
-    }
-    if (open == nullptr) {
-      open = acquire_group();
-      open->at = deliver_at;
-      open->dst = p.dst;
-    }
-    open->srcs.push_back(p.src);
-    open->payloads.push_back(pool_.acquire(payload_of(i)));
+    schedule_delivery(now + sample_latency(),
+                      Datagram{p.src, p.dst, pool_.acquire(payload_of(i))});
   }
-  if (open != nullptr) schedule_group(open);
-}
-
-DatagramBatch* Network::acquire_group() {
-  if (group_free_.empty()) {
-    group_store_.push_back(std::make_unique<DatagramBatch>());
-    return group_store_.back().get();
-  }
-  DatagramBatch* b = group_free_.back();
-  group_free_.pop_back();
-  return b;
-}
-
-void Network::schedule_group(DatagramBatch* b) {
-  loop_.schedule_at(b->at, [this, b]() { deliver_group(b); });
-}
-
-void Network::deliver_group(DatagramBatch* b) {
-  const std::size_t n = b->size();
-  if (metrics_ != nullptr) metrics_->observe(delivery_batch_h_, n);
-  const auto it = handlers_.find(b->dst);
-  if (it == handlers_.end()) {
-    dropped_unbound_ += n;
-  } else if (it->second.batch) {
-    delivered_ += n;
-    // Copy before invoking, same discipline as the single path.
-    const BatchHandler handler = it->second.batch;
-    handler(*b);
-  } else {
-    // Single-packet fallback: re-check the binding before each item — a
-    // handler may unbind itself mid-group (one-shot ephemeral ports do),
-    // and the per-packet path would have re-checked per delivery event.
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto live = handlers_.find(b->dst);
-      if (live == handlers_.end()) {
-        ++dropped_unbound_;
-        continue;
-      }
-      ++delivered_;
-      ++batch_fallback_singles_;
-      const Handler handler = live->second.single;
-      handler(Datagram{b->srcs[i], b->dst, b->payloads[i]});
-    }
-  }
-  release_group(b);
-}
-
-void Network::release_group(DatagramBatch* b) {
-  b->srcs.clear();
-  b->payloads.clear();  // drops the refs, recycling slabs into the pool
-  group_free_.push_back(b);
 }
 
 }  // namespace orp::net

@@ -6,28 +6,22 @@
 // how the prober-side and authns-side captures of Fig. 2 are implemented
 // (the paper used modified ZMap output and tcpdump respectively).
 //
-// Two dispatch shapes share one semantics:
+// Every delivered datagram is one event on the loop, which looks the
+// destination's handler up when it fires (a one-shot ephemeral port that
+// unbound meanwhile drops the packet). Two send shapes feed that one
+// delivery event:
 //
-//   * send(): one datagram, one delivery event, per-packet tap calls. The
-//     reference path — everything below is defined as equivalent to it.
+//   * send(): one datagram, per-packet tap calls. The reference path.
 //   * send_batch(): a span of PacketViews (endpoints only) accepted in
 //     order, plus one PayloadFn that builds packet i's bytes on demand.
 //     Bytes are built only where something reads them: for packets about
 //     to be delivered (not lost, bound at the destination) and for taps
 //     that ask. Batch-aware taps observe the whole span in one call;
 //     per-item RNG draws (loss, then latency for bound packets) happen in
-//     exactly the order send() would have made them; consecutive packets
-//     sharing (dst, deliver time)
-//     group into one struct-of-arrays DatagramBatch and are delivered to
-//     the destination host in a single call. Because grouped packets were
-//     scheduled consecutively (their delivery events would have carried
-//     consecutive tie-break seqs), no other event can order between them —
-//     grouping is invisible to the simulation's event order.
-//
-// An endpoint that registered only a single-packet handler still works under
-// batched delivery: the group falls back to per-item dispatch, re-checking
-// the binding before each item exactly as the per-packet path does (one-shot
-// ephemeral ports unbind themselves mid-flight).
+//     exactly the order send() would have made them, and each survivor is
+//     scheduled exactly as send() schedules it. A scanner's send batch
+//     holds one probe per target, so there is nothing to group on the
+//     receiving side.
 #pragma once
 
 #include <array>
@@ -42,7 +36,6 @@
 #include "net/buffer_pool.h"
 #include "net/event_loop.h"
 #include "net/ipv4.h"
-#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace orp::net {
@@ -105,18 +98,6 @@ class PayloadFn {
   std::span<const std::uint8_t> (*call_)(const void*, std::size_t);
 };
 
-/// A group of in-flight datagrams sharing one destination endpoint and one
-/// delivery time, laid out struct-of-arrays. Delivered to the destination
-/// host in a single call; item i is (srcs[i], dst, payloads[i]).
-struct DatagramBatch {
-  SimTime at;    // delivery time (one event for the whole group)
-  Endpoint dst;  // common destination
-  std::vector<Endpoint> srcs;
-  std::vector<PayloadRef> payloads;
-
-  std::size_t size() const noexcept { return srcs.size(); }
-};
-
 /// Latency model: base propagation delay plus uniform jitter.
 struct LatencyModel {
   SimTime base = SimTime::millis(20);
@@ -126,7 +107,6 @@ struct LatencyModel {
 class Network {
  public:
   using Handler = std::function<void(const Datagram&)>;
-  using BatchHandler = std::function<void(const DatagramBatch&)>;
   using Tap = std::function<void(SimTime, const Datagram&)>;
   /// A batch tap gets the span and its PayloadFn; it calls payload_of(i)
   /// only for the packets whose bytes it reads.
@@ -142,13 +122,8 @@ class Network {
   void set_latency(LatencyModel m) noexcept;
   void set_loss_rate(double p) noexcept;
 
-  /// Bind a handler to an endpoint. Rebinding replaces the previous handler
-  /// (and clears any batch entry point from an earlier bind_batch).
+  /// Bind a handler to an endpoint. Rebinding replaces the previous handler.
   void bind(Endpoint ep, Handler handler);
-  /// Bind both entry points: grouped deliveries go to `batch` in one call,
-  /// everything else (and batch fallback, never for this binding) to
-  /// `single`. Both must be callable.
-  void bind_batch(Endpoint ep, Handler single, BatchHandler batch);
   void unbind(Endpoint ep);
   bool bound(Endpoint ep) const;
 
@@ -166,12 +141,12 @@ class Network {
 
   /// Accept a span of packets in order, equivalent to calling send() on
   /// each with payload_of(i) as packet i's bytes. Differences are purely
-  /// mechanical: batch taps see the span in one call, payload_of is called
-  /// (and a pool buffer acquired) only for packets that will be delivered
-  /// or that a tap reads, and consecutive packets with equal (dst, deliver
-  /// time) share one grouped delivery event. RNG draw order (per-packet
-  /// loss, then latency for bound packets) is identical to the per-packet
-  /// path, so a batched sender produces a bit-identical simulation.
+  /// mechanical: batch taps see the span in one call, and payload_of is
+  /// called (and a pool buffer acquired) only for packets that will be
+  /// delivered or that a tap reads. RNG draw order (per-packet loss, then
+  /// latency for bound packets) and the delivery events are identical to
+  /// the per-packet path, so a batched sender produces a bit-identical
+  /// simulation.
   void send_batch(std::span<const PacketView> pkts, PayloadFn payload_of);
 
   /// Install a tap observing every datagram accepted into the network
@@ -184,29 +159,10 @@ class Network {
     taps_.push_back(TapEntry{std::move(single), std::move(batch)});
   }
 
-  /// Cap on how many packets one grouped delivery may carry (0 =
-  /// unbounded). Any value yields the same delivery order and times; the
-  /// knob exists so the determinism suite can sweep caps.
-  void set_delivery_group_cap(std::size_t cap) noexcept { group_cap_ = cap; }
-  std::size_t delivery_group_cap() const noexcept { return group_cap_; }
-
-  /// Attach an obs::Metrics instance: grouped deliveries then record a
-  /// batch-size histogram. Passive — no RNG, no scheduling, no allocation.
-  void set_metrics(obs::Metrics* m) noexcept {
-    metrics_ = m;
-    if (m != nullptr)
-      delivery_batch_h_ = obs::builtin().net_delivery_batch_size;
-  }
-
   std::uint64_t sent() const noexcept { return sent_; }
   std::uint64_t delivered() const noexcept { return delivered_; }
   std::uint64_t dropped_loss() const noexcept { return dropped_loss_; }
   std::uint64_t dropped_unbound() const noexcept { return dropped_unbound_; }
-  /// Datagrams that arrived inside a grouped delivery but were dispatched
-  /// through the single-packet fallback (no batch entry point bound).
-  std::uint64_t batch_fallback_singles() const noexcept {
-    return batch_fallback_singles_;
-  }
 
   EventLoop& loop() noexcept { return loop_; }
   BufferPool& pool() noexcept { return pool_; }
@@ -222,10 +178,6 @@ class Network {
   const StreamNet* streams_or_null() const noexcept { return streams_.get(); }
 
  private:
-  struct Binding {
-    Handler single;
-    BatchHandler batch;  // empty unless bind_batch registered one
-  };
   struct TapEntry {
     Tap single;
     BatchTap batch;  // empty taps observe batched sends per item
@@ -239,6 +191,9 @@ class Network {
   };
 
   SimTime sample_latency();
+  /// Schedule `d`'s delivery at `at`: the one delivery event both send
+  /// shapes use.
+  void schedule_delivery(SimTime at, Datagram d);
 
   // One-sided filter over the addresses that have ever had an endpoint
   // bound. In an internet-scale scan almost every probe goes to an address
@@ -264,11 +219,6 @@ class Network {
     return (bound_filter_[h >> 6] >> (h & 63)) & 1;
   }
 
-  DatagramBatch* acquire_group();
-  void schedule_group(DatagramBatch* b);
-  void deliver_group(DatagramBatch* b);
-  void release_group(DatagramBatch* b);
-
   EventLoop& loop_;
   BufferPool pool_;
   util::Rng rng_;
@@ -276,21 +226,13 @@ class Network {
   LatencyModel latency_{};
   double loss_rate_ = 0.0;
   std::unique_ptr<StreamNet> streams_;
-  std::unordered_map<Endpoint, Binding, EndpointHash> handlers_;
+  std::unordered_map<Endpoint, Handler, EndpointHash> handlers_;
   std::array<std::uint64_t, kFilterWords> bound_filter_{};
   std::vector<TapEntry> taps_;
-  std::size_t group_cap_ = 0;  // 0 = unbounded
-  // Grouped-delivery records recycle through a free list: the vectors keep
-  // their capacity, so the steady-state batch path never allocates.
-  std::vector<std::unique_ptr<DatagramBatch>> group_store_;
-  std::vector<DatagramBatch*> group_free_;
-  obs::Metrics* metrics_ = nullptr;
-  obs::HistogramHandle delivery_batch_h_;
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_loss_ = 0;
   std::uint64_t dropped_unbound_ = 0;
-  std::uint64_t batch_fallback_singles_ = 0;
 };
 
 }  // namespace orp::net

@@ -105,16 +105,15 @@ const Builtin& builtin() {
         "microseconds between scheduling an event and running it", kQueueUs,
         I::kThreadVariant);
 
-    // Batch-size buckets shared by the loop's same-deadline runs and the
-    // network's grouped deliveries: powers of two up to the scanner's
-    // 64-probe send batches, with headroom for unbounded caps. Batch
-    // *structure* depends on how the campaign was sharded, so both are
-    // thread-variant (the per-event totals they decompose stay invariant).
-    static constexpr std::uint64_t kBatchSizes[] = {1, 2, 4, 8, 16, 32, 64,
-                                                    128, 256};
+    // Retired batch-dispatch metrics (loop drains, grouped deliveries, the
+    // per-item fallback): nothing records them since the loop fires one
+    // event at a time and each datagram is its own delivery event. They
+    // stay registered, reading 0, because perfbench's census_bench reads
+    // them by handle.
+    static constexpr std::uint64_t kBatchSizes[] = {1};
     b.loop_batch_size = s.histogram(
         "orp_loop_batch_size",
-        "same-deadline events drained per batched dispatch", kBatchSizes,
+        "retired: same-deadline loop drains (always empty)", kBatchSizes,
         I::kThreadVariant);
 
     b.net_sent = s.counter("orp_net_sent",
@@ -133,11 +132,11 @@ const Builtin& builtin() {
                   I::kThreadVariant);
     b.net_delivery_batch_size = s.histogram(
         "orp_net_delivery_batch_size",
-        "datagrams per grouped DatagramBatch delivery", kBatchSizes,
+        "retired: grouped datagram deliveries (always empty)", kBatchSizes,
         I::kThreadVariant);
     b.net_batch_fallback_singles = s.counter(
         "orp_net_batch_fallback_singles",
-        "batched datagrams delivered via the single-packet fallback",
+        "retired: grouped datagrams dispatched per item (always 0)",
         I::kThreadVariant);
     b.pool_slabs = s.gauge("orp_pool_slabs",
                            "payload slabs created (in-flight high-water mark)",

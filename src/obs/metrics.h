@@ -182,7 +182,8 @@ struct Builtin {
   CounterHandle loop_events_run;
   GaugeHandle loop_queue_peak;
   HistogramHandle loop_time_in_queue_us;
-  /// Same-deadline run length per batched dispatch (events per fire_batch).
+  /// Retired (always empty): the loop fires one event at a time. Kept
+  /// registered because perfbench's census_bench still reads it.
   HistogramHandle loop_batch_size;
 
   // net::Network + net::BufferPool
@@ -190,10 +191,10 @@ struct Builtin {
   CounterHandle net_delivered;
   CounterHandle net_dropped_loss;
   CounterHandle net_dropped_unbound;
-  /// Datagrams per grouped DatagramBatch delivery.
+  /// Retired (always empty / 0): every datagram is its own delivery event,
+  /// so there are no grouped deliveries and no per-item fallback. Kept
+  /// registered because perfbench's census_bench still reads both.
   HistogramHandle net_delivery_batch_size;
-  /// Datagrams delivered through the single-packet fallback because the
-  /// bound endpoint registered no batch entry point.
   CounterHandle net_batch_fallback_singles;
   GaugeHandle pool_slabs;
   GaugeHandle pool_slabs_free;

@@ -19,10 +19,8 @@ Scanner::Scanner(net::Network& network, net::IPv4Addr prober_addr,
       permutation_(config.seed),
       limiter_(config.rate_pps, config.batch_size * 4) {
   if (config_.first_index != 0) permutation_.seek(config_.first_index);
-  network_.bind_batch(
-      net::Endpoint{addr_, kProberPort},
-      [this](const net::Datagram& d) { on_datagram(d); },
-      [this](const net::DatagramBatch& b) { on_batch(b); });
+  network_.bind(net::Endpoint{addr_, kProberPort},
+                [this](const net::Datagram& d) { on_datagram(d); });
 
   // Learn the probe template (verified byte-identical to the encoder by
   // derive itself).
@@ -166,11 +164,6 @@ std::span<const std::uint8_t> Scanner::probe_bytes(const dns::StampVars& v) {
   const dns::DnsName qname = clusters_.scheme().qname({v.cluster, v.index});
   return dns::encode_into(dns::make_query(v.txn, qname, config_.qtype),
                           codec_scratch_);
-}
-
-void Scanner::on_batch(const net::DatagramBatch& b) {
-  for (std::size_t i = 0; i < b.size(); ++i)
-    on_datagram(net::Datagram{b.srcs[i], b.dst, b.payloads[i]});
 }
 
 Scanner::R2Match Scanner::match_r2(const dns::DecodeView& v,

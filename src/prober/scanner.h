@@ -182,7 +182,6 @@ class Scanner : private net::StreamHandler {
   /// use) — the PayloadFn behind every send_batch the scanner makes.
   std::span<const std::uint8_t> probe_bytes(const dns::StampVars& v);
   void on_datagram(const net::Datagram& d);
-  void on_batch(const net::DatagramBatch& b);
   /// Hand one response to the R2 callback — the single classification
   /// point of a flow (in fallback mode, once its TCP retry has settled).
   void classify(net::IPv4Addr from, std::span<const std::uint8_t> payload);

@@ -36,45 +36,4 @@ RrlAction ResponseRateLimiter::check(net::IPv4Addr client, net::SimTime now) {
   return RrlAction::kDrop;
 }
 
-void ResponseRateLimiter::check_batch(net::IPv4Addr client, net::SimTime now,
-                                      std::span<RrlAction> out) {
-  if (out.empty()) return;
-  if (!config_.enabled) {
-    sent_ += out.size();
-    for (RrlAction& a : out) a = RrlAction::kSend;
-    return;
-  }
-  // One lookup + refill for the burst: repeated check() calls at the same
-  // `now` would refill on the first call and see now == last afterwards.
-  Bucket& bucket = buckets_[client.value()];
-  if (!bucket.initialized) {
-    bucket.initialized = true;
-    bucket.tokens = static_cast<double>(config_.burst);
-  } else if (now > bucket.last) {
-    bucket.tokens =
-        std::min(static_cast<double>(config_.burst),
-                 bucket.tokens + (now - bucket.last).as_seconds() *
-                                     config_.responses_per_second);
-  }
-  bucket.last = now;
-
-  for (RrlAction& a : out) {
-    if (bucket.tokens >= 1.0) {
-      bucket.tokens -= 1.0;
-      bucket.suppressed_streak = 0;
-      ++sent_;
-      a = RrlAction::kSend;
-      continue;
-    }
-    ++bucket.suppressed_streak;
-    if (config_.slip > 0 && bucket.suppressed_streak % config_.slip == 0) {
-      ++slipped_;
-      a = RrlAction::kSlip;
-    } else {
-      ++dropped_;
-      a = RrlAction::kDrop;
-    }
-  }
-}
-
 }  // namespace orp::resolver

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <unordered_map>
 
 #include "net/ipv4.h"
@@ -38,14 +37,6 @@ class ResponseRateLimiter {
   explicit ResponseRateLimiter(RrlConfig config) : config_(config) {}
 
   RrlAction check(net::IPv4Addr client, net::SimTime now);
-
-  /// Evaluate a burst of `out.size()` same-instant responses to one client,
-  /// writing the per-response verdicts in order. Bit-identical to calling
-  /// check() that many times with the same (client, now) — the bucket is
-  /// looked up and refilled once instead of per response, which is the
-  /// shape a grouped delivery hands the server.
-  void check_batch(net::IPv4Addr client, net::SimTime now,
-                   std::span<RrlAction> out);
 
   std::uint64_t sent() const noexcept { return sent_; }
   std::uint64_t dropped() const noexcept { return dropped_; }

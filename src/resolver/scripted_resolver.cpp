@@ -122,10 +122,8 @@ ResolverHost::ResolverHost(net::Network& network, net::IPv4Addr addr,
                      templates->slip.size() <= profile_.udp_limit))
                ? templates
                : nullptr) {
-  network_.bind_batch(
-      net::Endpoint{addr_, net::kDnsPort},
-      [this](const net::Datagram& d) { on_query(d); },
-      [this](const net::DatagramBatch& b) { on_query_batch(b); });
+  network_.bind(net::Endpoint{addr_, net::kDnsPort},
+                [this](const net::Datagram& d) { on_query(d); });
   // A TCP-capable profile also listens on the stream transport; forwarders
   // never do (CPE proxies in the wild rarely speak TCP — their truncated
   // answers are terminal, which the fallback study measures).
@@ -141,15 +139,6 @@ ResolverHost::~ResolverHost() {
 
 void ResolverHost::stamp(dns::Message& response) const {
   stamp_profile(profile_, response);
-}
-
-void ResolverHost::on_query_batch(const net::DatagramBatch& b) {
-  // Queries in one grouped delivery are processed in span order, each
-  // through the same path a per-packet delivery takes (the host never
-  // unbinds port 53 mid-flight, so skipping the per-item re-bind check the
-  // fallback path performs changes nothing observable).
-  for (std::size_t i = 0; i < b.size(); ++i)
-    on_query(net::Datagram{b.srcs[i], b.dst, b.payloads[i]});
 }
 
 void ResolverHost::on_query(const net::Datagram& d) {

@@ -102,9 +102,6 @@ class ResolverHost : private net::StreamHandler {
 
  private:
   void on_query(const net::Datagram& d);
-  /// Grouped-delivery entry point: span-order per-query processing,
-  /// equivalent to one on_query call per item.
-  void on_query_batch(const net::DatagramBatch& b);
   /// DNS-over-TCP entry point (profile.tcp): one whole query message per
   /// on_message, answered over the same connection — full answers, no
   /// truncation, no RRL (TCP clients are return-routable by construction,

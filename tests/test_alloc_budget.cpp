@@ -268,7 +268,7 @@ TEST(AllocBudget, SteadyStateSendDeliverCaptureIsAllocationFree) {
 // The scanner's send shape: one send_batch of 64 probes into unbound space
 // and one to a bound resolver, with the prober vantage's capture tapped in
 // and a payload_of that stamps the probe template into warm scratch. Once
-// the pool, group records and event heap are warm, the batch — staging
+// the pool and event heap are warm, the batch — staging
 // nothing but endpoints, building only the delivered probe's bytes — never
 // touches the allocator.
 TEST(AllocBudget, WarmScannerShapedSendBatchAllocatesNothing) {
@@ -306,7 +306,7 @@ TEST(AllocBudget, WarmScannerShapedSendBatchAllocatesNothing) {
     ++built;
     return tpl.stamp(vars[i], scratch);
   };
-  net.send_batch(pkts, payload_of);  // warm pool, group record, event heap
+  net.send_batch(pkts, payload_of);  // warm pool and event heap
   loop.run();
 
   const auto n = count_allocs([&] {

@@ -502,22 +502,16 @@ TEST(NetworkBatch, SendBatchBitIdenticalToPerPacketSends) {
   EXPECT_EQ(run(false), run(true));
 }
 
-// Grouping never reorders against other events: a grouped delivery carries
-// the tie-break seq of its *first* member, so a timer scheduled before the
-// batch fires before it and one scheduled after fires after it, at the
-// same simulated instant.
+// Each packet of a batch is its own delivery event, scheduled in span
+// order: a timer scheduled before the batch fires before its packets, one
+// scheduled after fires after them, and the packets keep their span order,
+// all at the same simulated instant.
 TEST_F(NetworkTest, BatchedSendPreservesTieBreakAcrossBoundaries) {
   net.set_latency({SimTime::millis(10), SimTime()});  // deterministic time
   std::vector<std::string> order;
-  net.bind_batch(
-      b,
-      [&](const Datagram& d) {
-        order.push_back("single:" + std::to_string(d.payload[0]));
-      },
-      [&](const DatagramBatch& g) {
-        for (std::size_t i = 0; i < g.size(); ++i)
-          order.push_back("batch:" + std::to_string(g.payloads[i][0]));
-      });
+  net.bind(b, [&](const Datagram& d) {
+    order.push_back("packet:" + std::to_string(d.payload[0]));
+  });
   loop.schedule_at(SimTime::millis(10), [&] { order.push_back("before"); });
   EagerBatch batch;
   batch.add(a, b, {1});
@@ -525,28 +519,13 @@ TEST_F(NetworkTest, BatchedSendPreservesTieBreakAcrossBoundaries) {
   net.send_batch(batch.pkts, batch.payload_of());
   loop.schedule_at(SimTime::millis(10), [&] { order.push_back("after"); });
   loop.run();
-  EXPECT_EQ(order, (std::vector<std::string>{"before", "batch:1", "batch:2",
+  EXPECT_EQ(order, (std::vector<std::string>{"before", "packet:1", "packet:2",
                                              "after"}));
 }
 
-// An endpoint bound with plain bind() still receives grouped traffic, item
-// by item, counted as fallback singles.
-TEST_F(NetworkTest, BatchFallsBackToSingleHandlerPerItem) {
-  net.set_latency({SimTime::millis(10), SimTime()});
-  std::vector<int> seen;
-  net.bind(b, [&](const Datagram& d) { seen.push_back(d.payload[0]); });
-  EagerBatch batch;
-  for (std::uint8_t i = 1; i <= 3; ++i) batch.add(a, b, {i});
-  net.send_batch(batch.pkts, batch.payload_of());
-  loop.run();
-  EXPECT_EQ(seen, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(net.delivered(), 3u);
-  EXPECT_EQ(net.batch_fallback_singles(), 3u);
-}
-
-// A handler that unbinds itself mid-group drops the rest of the group,
-// exactly as the per-packet path would (each item re-checks the binding).
-TEST_F(NetworkTest, FallbackRechecksBindingBetweenItems) {
+// A handler that unbinds itself on its first packet drops the rest of the
+// batch: every delivery event re-checks the binding when it fires.
+TEST_F(NetworkTest, SelfUnbindingHandlerDropsRestOfBatch) {
   net.set_latency({SimTime::millis(10), SimTime()});
   int got = 0;
   net.bind(b, [&](const Datagram&) {
@@ -560,29 +539,6 @@ TEST_F(NetworkTest, FallbackRechecksBindingBetweenItems) {
   EXPECT_EQ(got, 1);
   EXPECT_EQ(net.delivered(), 1u);
   EXPECT_EQ(net.dropped_unbound(), 2u);
-}
-
-// The group cap splits one logical burst into several delivery events
-// without changing arrival order or times.
-TEST_F(NetworkTest, GroupCapSplitsDeliveriesInvisibly) {
-  net.set_latency({SimTime::millis(10), SimTime()});
-  net.set_delivery_group_cap(2);
-  std::vector<std::size_t> sizes;
-  std::vector<int> order;
-  net.bind_batch(
-      b, [](const Datagram&) {},
-      [&](const DatagramBatch& g) {
-        sizes.push_back(g.size());
-        for (std::size_t i = 0; i < g.size(); ++i)
-          order.push_back(g.payloads[i][0]);
-      });
-  EagerBatch batch;
-  for (std::uint8_t i = 0; i < 5; ++i) batch.add(a, b, {i});
-  net.send_batch(batch.pkts, batch.payload_of());
-  loop.run();
-  EXPECT_EQ(sizes, (std::vector<std::size_t>{2, 2, 1}));
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(net.delivered(), 5u);
 }
 
 // Unbound destinations in a batch never touch the payload pool — the
@@ -901,8 +857,8 @@ TEST(CaptureStore, BatchDigestEqualsPerPacketMixedLengthsAndDirections) {
 }
 
 TEST(CaptureStore, BatchSplitsProduceOneDigest) {
-  // A batch observed whole, split in two, or delivered packet-by-packet
-  // yields one digest — the property that lets delivery_group_cap vary
+  // A batch observed whole, split in two, or packet by packet yields one
+  // digest — the property that lets a sender's batch boundaries vary
   // without moving the capture digest.
   const IPv4Addr host(9, 9, 9, 9);
   EagerBatch batch;

@@ -352,29 +352,6 @@ TEST(ObsPipeline, MergedMetricsMirrorTheMergedStats) {
   EXPECT_GT(m.counter(b.resolver_cache_bypass), 0u);
 }
 
-TEST(ObsPipeline, BatchDispatchTelemetryIsCoherent) {
-  const core::ScanOutcome& o = instrumented(2);
-  const Builtin& b = builtin();
-  const Metrics& m = o.metrics;
-  // Every executed event belongs to exactly one drained run, so the
-  // batch-size histogram's weighted sum is the event count, and each
-  // observation covers at least one event.
-  EXPECT_EQ(m.histogram_sum(b.loop_batch_size), o.events_executed);
-  EXPECT_GT(m.histogram_count(b.loop_batch_size), 0u);
-  EXPECT_LE(m.histogram_count(b.loop_batch_size), o.events_executed);
-  // Grouped deliveries happened, and every grouped packet either reached a
-  // handler or was dropped as unbound — the histogram's weighted sum cannot
-  // exceed that envelope.
-  EXPECT_GT(m.histogram_count(b.net_delivery_batch_size), 0u);
-  EXPECT_LE(m.histogram_sum(b.net_delivery_batch_size),
-            m.counter(b.net_delivered) + m.counter(b.net_dropped_unbound));
-  // Fallback singles are a subset of delivered packets. The campaign's
-  // endpoints (scanner, auth servers, resolver hosts) all register batch
-  // handlers; only one-shot ephemeral ports take the per-item fallback.
-  EXPECT_LE(m.counter(b.net_batch_fallback_singles),
-            m.counter(b.net_delivered));
-}
-
 TEST(ObsPipeline, InvariantMetricSnapshotIdenticalForEveryThreadCount) {
   const std::string ref =
       to_prometheus(instrumented(1).metrics, /*invariant_only=*/true);

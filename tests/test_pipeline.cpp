@@ -316,57 +316,14 @@ TEST(PipelineSharding, MergedReportIdenticalForEveryThreadCount) {
   }
 }
 
-TEST(PipelineSharding, BatchCapsAreBehaviorInvisible) {
-  // The batched-dispatch caps (event-loop drain size, grouped-delivery
-  // size) are purely mechanical: every value must reproduce the reference
-  // run bit-for-bit — the wire digest of every prober-vantage packet (full
-  // Q1 and R2 bytes, tests/wire_oracle.h), behavioral digest, and rendered
-  // tables — at every thread count.
-  PipelineConfig base;
-  base.scale = 16384;
-  base.seed = 42;
-  base.threads = 1;
-  const ScanOutcome ref = run_measurement(paper_2018(), base);
-  const std::string ref_tables = rendered_tables(ref);
-  ASSERT_GT(ref.scan.r2_received, 100u);
-  ASSERT_NE(ref.capture_digest, 0u);
-
-  for (const unsigned threads : {1u, 4u}) {
-    // The wire digest folds shard-merge order, which legitimately varies
-    // with the shard count — so each thread count gets its own wire-digest
-    // reference (default caps), while the canonical digest and rendered
-    // tables must match the threads=1 reference everywhere.
-    PipelineConfig thr = base;
-    thr.threads = threads;
-    const std::uint64_t wire_ref = run_tapped(paper_2018(), thr).wire;
-    for (const std::size_t cap :
-         {std::size_t{1}, std::size_t{8}, std::size_t{64}, std::size_t{0}}) {
-      PipelineConfig cfg = base;
-      cfg.threads = threads;
-      cfg.loop_batch_cap = cap;
-      cfg.delivery_group_cap = cap;
-      const auto [o, wire] = run_tapped(paper_2018(), cfg);
-      EXPECT_EQ(o.scan.q1_sent, ref.scan.q1_sent)
-          << "threads=" << threads << " cap=" << cap;
-      EXPECT_EQ(o.scan.r2_received, ref.scan.r2_received)
-          << "threads=" << threads << " cap=" << cap;
-      EXPECT_EQ(wire, wire_ref) << "threads=" << threads << " cap=" << cap;
-      EXPECT_EQ(o.capture_digest, ref.capture_digest)
-          << "threads=" << threads << " cap=" << cap;
-      EXPECT_EQ(rendered_tables(o), ref_tables)
-          << "threads=" << threads << " cap=" << cap;
-    }
-  }
-}
-
 TEST(PipelineSharding, WireTemplatesAreBehaviorInvisible) {
   // The template-stamped wire path is a pure encoding shortcut: with the
   // knob on or off, under packet loss (which exercises reap + reuse, whose
-  // order feeds future qnames) and across batch caps and thread counts, the
-  // wire digest of every prober-vantage packet (this is the test that pins
-  // the stamped Q1 bytes to the full encoder's, tests/wire_oracle.h), the
-  // behavioral digest, and the rendered tables must be bit-identical. Only
-  // the template_* counters may move.
+  // order feeds future qnames) and across thread counts, the wire digest of
+  // every prober-vantage packet (this is the test that pins the stamped Q1
+  // bytes to the full encoder's, tests/wire_oracle.h), the behavioral
+  // digest, and the rendered tables must be bit-identical. Only the
+  // template_* counters may move.
   PipelineConfig base;
   base.scale = 16384;
   base.seed = 42;
@@ -387,52 +344,32 @@ TEST(PipelineSharding, WireTemplatesAreBehaviorInvisible) {
     ASSERT_NE(ref.capture_digest, 0u) << threads;
     EXPECT_EQ(ref.scan.template_stamped, 0u) << threads;
     EXPECT_EQ(ref.auth.template_stamped, 0u) << threads;
-    for (const bool templates : {false, true}) {
-      for (const std::size_t cap :
-           {std::size_t{1}, std::size_t{8}, std::size_t{64}, std::size_t{0}}) {
-        PipelineConfig cfg = base;
-        cfg.threads = threads;
-        cfg.wire_templates = templates;
-        cfg.loop_batch_cap = cap;
-        cfg.delivery_group_cap = cap;
-        const auto [o, wire] = run_tapped(paper_2018(), cfg);
-        EXPECT_EQ(o.scan.q1_sent, ref.scan.q1_sent)
-            << "threads=" << threads << " tpl=" << templates << " cap=" << cap;
-        EXPECT_EQ(o.scan.r2_received, ref.scan.r2_received)
-            << "threads=" << threads << " tpl=" << templates << " cap=" << cap;
-        EXPECT_EQ(o.scan.timeouts_reaped, ref.scan.timeouts_reaped)
-            << "threads=" << threads << " tpl=" << templates << " cap=" << cap;
-        EXPECT_EQ(o.auth.queries_received, ref.auth.queries_received)
-            << "threads=" << threads << " tpl=" << templates << " cap=" << cap;
-        EXPECT_EQ(wire, wire_ref)
-            << "threads=" << threads << " tpl=" << templates << " cap=" << cap;
-        EXPECT_EQ(o.capture_digest, ref.capture_digest)
-            << "threads=" << threads << " tpl=" << templates << " cap=" << cap;
-        EXPECT_EQ(rendered_tables(o), ref_tables)
-            << "threads=" << threads << " tpl=" << templates << " cap=" << cap;
-        if (templates) {
-          // The fast paths must actually engage — otherwise this test
-          // proves nothing about them.
-          EXPECT_GT(o.scan.template_stamped, 0u) << threads;
-          EXPECT_GT(o.auth.template_stamped, 0u) << threads;
-          EXPECT_EQ(o.scan.template_stamped + o.scan.template_fallback,
-                    o.scan.q1_sent)
-              << threads;
-        } else {
-          EXPECT_EQ(o.scan.template_stamped, 0u) << threads;
-          EXPECT_EQ(o.auth.template_stamped, 0u) << threads;
-        }
-      }
-    }
+    PipelineConfig cfg = thr;
+    cfg.wire_templates = true;
+    const auto [o, wire] = run_tapped(paper_2018(), cfg);
+    EXPECT_EQ(o.scan.q1_sent, ref.scan.q1_sent) << threads;
+    EXPECT_EQ(o.scan.r2_received, ref.scan.r2_received) << threads;
+    EXPECT_EQ(o.scan.timeouts_reaped, ref.scan.timeouts_reaped) << threads;
+    EXPECT_EQ(o.auth.queries_received, ref.auth.queries_received) << threads;
+    EXPECT_EQ(wire, wire_ref) << threads;
+    EXPECT_EQ(o.capture_digest, ref.capture_digest) << threads;
+    EXPECT_EQ(rendered_tables(o), ref_tables) << threads;
+    // The fast paths must actually engage — otherwise this test proves
+    // nothing about them.
+    EXPECT_GT(o.scan.template_stamped, 0u) << threads;
+    EXPECT_GT(o.auth.template_stamped, 0u) << threads;
+    EXPECT_EQ(o.scan.template_stamped + o.scan.template_fallback,
+              o.scan.q1_sent)
+        << threads;
   }
 }
 
 TEST(PipelineSharding, TcpFallbackSweepIsPinned) {
   // The stream transport rides the same sharded event loops as the datagram
   // path: with a truncating UDP budget and DoTCP fallback enabled, every
-  // thread count and batch cap must produce byte-identical rendered tables,
-  // the same behavioral digest, and the same fallback counters — and the
-  // fallback must actually engage, or the sweep proves nothing.
+  // thread count must produce byte-identical rendered tables, the same
+  // behavioral digest, and the same fallback counters — and the fallback
+  // must actually engage, or the sweep proves nothing.
   PipelineConfig base;
   base.scale = 16384;
   base.seed = 42;
@@ -448,30 +385,21 @@ TEST(PipelineSharding, TcpFallbackSweepIsPinned) {
   ASSERT_NE(ref.capture_digest, 0u);
 
   for (const unsigned threads : {1u, 4u}) {
-    for (const std::size_t cap :
-         {std::size_t{1}, std::size_t{8}, std::size_t{64}, std::size_t{0}}) {
-      PipelineConfig cfg = base;
-      cfg.threads = threads;
-      cfg.loop_batch_cap = cap;
-      cfg.delivery_group_cap = cap;
-      const ScanOutcome o = run_measurement(paper_2018(), cfg);
-      EXPECT_EQ(o.scan.q1_sent, ref.scan.q1_sent)
-          << "threads=" << threads << " cap=" << cap;
-      EXPECT_EQ(o.scan.r2_received, ref.scan.r2_received)
-          << "threads=" << threads << " cap=" << cap;
-      EXPECT_EQ(o.scan.tc_seen, ref.scan.tc_seen)
-          << "threads=" << threads << " cap=" << cap;
-      EXPECT_EQ(o.scan.tcp_retries, ref.scan.tcp_retries)
-          << "threads=" << threads << " cap=" << cap;
-      EXPECT_EQ(o.scan.tcp_answers, ref.scan.tcp_answers)
-          << "threads=" << threads << " cap=" << cap;
-      EXPECT_EQ(o.scan.tcp_failures, ref.scan.tcp_failures)
-          << "threads=" << threads << " cap=" << cap;
-      EXPECT_EQ(o.capture_digest, ref.capture_digest)
-          << "threads=" << threads << " cap=" << cap;
-      EXPECT_EQ(rendered_tables(o), ref_tables)
-          << "threads=" << threads << " cap=" << cap;
-    }
+    PipelineConfig cfg = base;
+    cfg.threads = threads;
+    const ScanOutcome o = run_measurement(paper_2018(), cfg);
+    EXPECT_EQ(o.scan.q1_sent, ref.scan.q1_sent) << "threads=" << threads;
+    EXPECT_EQ(o.scan.r2_received, ref.scan.r2_received)
+        << "threads=" << threads;
+    EXPECT_EQ(o.scan.tc_seen, ref.scan.tc_seen) << "threads=" << threads;
+    EXPECT_EQ(o.scan.tcp_retries, ref.scan.tcp_retries)
+        << "threads=" << threads;
+    EXPECT_EQ(o.scan.tcp_answers, ref.scan.tcp_answers)
+        << "threads=" << threads;
+    EXPECT_EQ(o.scan.tcp_failures, ref.scan.tcp_failures)
+        << "threads=" << threads;
+    EXPECT_EQ(o.capture_digest, ref.capture_digest) << "threads=" << threads;
+    EXPECT_EQ(rendered_tables(o), ref_tables) << "threads=" << threads;
   }
 
   // Differential control: the same truncating budget without the fallback
@@ -521,47 +449,40 @@ TEST(PipelineSharding, StreamingAnalysisIsExact) {
   };
   for (const Golden& g : kGoldens) {
     for (const bool templates : {true, false}) {
-      for (const std::size_t cap :
-           {std::size_t{1}, std::size_t{64}, std::size_t{0}}) {
-        PipelineConfig cfg;
-        cfg.scale = 32768;
-        cfg.seed = 42;
-        cfg.loss_rate = g.loss;
-        cfg.threads = g.threads;
-        cfg.wire_templates = templates;
-        cfg.loop_batch_cap = cap;
-        cfg.delivery_group_cap = cap;
-        const ScanOutcome o = run_measurement(
-            g.year == 2013 ? paper_2013() : paper_2018(), cfg);
-        const auto tag = [&]() {
-          return std::to_string(g.year) + " loss=" + std::to_string(g.loss) +
-                 " threads=" + std::to_string(g.threads) +
-                 " tpl=" + std::to_string(templates) +
-                 " cap=" + std::to_string(cap);
-        };
-        EXPECT_EQ(o.capture_digest, g.digest) << tag();
-        EXPECT_EQ(util::fnv1a64(rendered_tables(o)), g.tables) << tag();
-        EXPECT_EQ(o.scan.r2_received, g.r2) << tag();
-        const analysis::PrivateRedirectSummary& p =
-            o.analysis.private_redirects;
-        EXPECT_EQ(p.r2, g.priv) << tag();
-        EXPECT_EQ(p.unique_ips, g.priv_ips) << tag();
-        EXPECT_EQ(p.rfc1918, g.priv_1918) << tag();
-        EXPECT_EQ(p.cgn, g.priv_cgn) << tag();
-        // With the DoTCP fallback off, the scanner classifies each received
-        // R2 exactly once, so the tables count every one of them.
-        EXPECT_EQ(o.analysis.r2_total, o.scan.r2_received) << tag();
-        // The prober vantage sees each Q1 leave and each R2 arrive. Taps run
-        // before loss, so a lossy campaign also sees R2s that never arrive.
-        if (g.loss == 0.0) {
-          EXPECT_EQ(o.capture.packet_count(),
-                    o.scan.q1_sent + o.scan.r2_received)
-              << tag();
-        } else {
-          EXPECT_GE(o.capture.packet_count(),
-                    o.scan.q1_sent + o.scan.r2_received)
-              << tag();
-        }
+      PipelineConfig cfg;
+      cfg.scale = 32768;
+      cfg.seed = 42;
+      cfg.loss_rate = g.loss;
+      cfg.threads = g.threads;
+      cfg.wire_templates = templates;
+      const ScanOutcome o = run_measurement(
+          g.year == 2013 ? paper_2013() : paper_2018(), cfg);
+      const auto tag = [&]() {
+        return std::to_string(g.year) + " loss=" + std::to_string(g.loss) +
+               " threads=" + std::to_string(g.threads) +
+               " tpl=" + std::to_string(templates);
+      };
+      EXPECT_EQ(o.capture_digest, g.digest) << tag();
+      EXPECT_EQ(util::fnv1a64(rendered_tables(o)), g.tables) << tag();
+      EXPECT_EQ(o.scan.r2_received, g.r2) << tag();
+      const analysis::PrivateRedirectSummary& p = o.analysis.private_redirects;
+      EXPECT_EQ(p.r2, g.priv) << tag();
+      EXPECT_EQ(p.unique_ips, g.priv_ips) << tag();
+      EXPECT_EQ(p.rfc1918, g.priv_1918) << tag();
+      EXPECT_EQ(p.cgn, g.priv_cgn) << tag();
+      // With the DoTCP fallback off, the scanner classifies each received
+      // R2 exactly once, so the tables count every one of them.
+      EXPECT_EQ(o.analysis.r2_total, o.scan.r2_received) << tag();
+      // The prober vantage sees each Q1 leave and each R2 arrive. Taps run
+      // before loss, so a lossy campaign also sees R2s that never arrive.
+      if (g.loss == 0.0) {
+        EXPECT_EQ(o.capture.packet_count(),
+                  o.scan.q1_sent + o.scan.r2_received)
+            << tag();
+      } else {
+        EXPECT_GE(o.capture.packet_count(),
+                  o.scan.q1_sent + o.scan.r2_received)
+            << tag();
       }
     }
   }
@@ -597,6 +518,31 @@ TEST(PipelineSharding, ShardContextOnlyStreams) {
                               streaming, retain),
                  std::invalid_argument)
         << streaming << retain;
+  }
+}
+
+TEST(PipelineSharding, RetiredBatchCapsAreRejected) {
+  // The loop fires one event at a time and every datagram is its own
+  // delivery event, so a nonzero batch-dispatch cap has nothing to apply to.
+  // It is refused rather than silently ignored, from the internet
+  // constructor and through run_measurement alike.
+  const PopulationSpec spec = build_population(paper_2018(), 65536, 7);
+  for (const auto& [loop_cap, group_cap] :
+       {std::pair{std::size_t{1}, std::size_t{0}},
+        std::pair{std::size_t{0}, std::size_t{64}}}) {
+    InternetConfig net_config;
+    net_config.seed = 7;
+    net_config.loop_batch_cap = loop_cap;
+    net_config.delivery_group_cap = group_cap;
+    EXPECT_THROW(SimulatedInternet(spec, net_config), std::invalid_argument)
+        << loop_cap << "/" << group_cap;
+    PipelineConfig cfg;
+    cfg.scale = 65536;
+    cfg.seed = 7;
+    cfg.loop_batch_cap = loop_cap;
+    cfg.delivery_group_cap = group_cap;
+    EXPECT_THROW(run_measurement(paper_2018(), cfg), std::invalid_argument)
+        << loop_cap << "/" << group_cap;
   }
 }
 

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "authns/auth_server.h"
 #include "dns/builder.h"
 #include "resolver/root_tld.h"
@@ -73,52 +71,6 @@ TEST(Rrl, BudgetsArePerClient) {
   // A different client has its own bucket.
   EXPECT_EQ(limiter.check(net::IPv4Addr(2, 2, 2, 2), net::SimTime()),
             RrlAction::kSend);
-}
-
-TEST(Rrl, CheckBatchMatchesSequentialChecks) {
-  // check_batch over a same-instant burst must be action-for-action and
-  // counter-for-counter identical to calling check() that many times —
-  // including the burst spanning the budget edge (sends, then the
-  // slip/drop alternation).
-  RrlConfig cfg;
-  cfg.enabled = true;
-  cfg.responses_per_second = 1;
-  cfg.burst = 3;
-  cfg.slip = 2;
-  ResponseRateLimiter seq(cfg);
-  ResponseRateLimiter bat(cfg);
-  const net::IPv4Addr client(1, 1, 1, 1);
-  const net::SimTime now = net::SimTime::millis(5);
-
-  std::vector<RrlAction> expected;
-  for (int i = 0; i < 10; ++i) expected.push_back(seq.check(client, now));
-  std::vector<RrlAction> got(10);
-  bat.check_batch(client, now, got);
-
-  EXPECT_EQ(got, expected);
-  EXPECT_EQ(bat.sent(), seq.sent());
-  EXPECT_EQ(bat.dropped(), seq.dropped());
-  EXPECT_EQ(bat.slipped(), seq.slipped());
-
-  // A later burst refills once for the whole batch, like the first check()
-  // of a sequential run would.
-  std::vector<RrlAction> expected2;
-  for (int i = 0; i < 4; ++i)
-    expected2.push_back(seq.check(client, net::SimTime::seconds(3)));
-  std::vector<RrlAction> got2(4);
-  bat.check_batch(client, net::SimTime::seconds(3), got2);
-  EXPECT_EQ(got2, expected2);
-  EXPECT_EQ(bat.sent(), seq.sent());
-  EXPECT_EQ(bat.dropped(), seq.dropped());
-  EXPECT_EQ(bat.slipped(), seq.slipped());
-}
-
-TEST(Rrl, CheckBatchDisabledSendsAll) {
-  ResponseRateLimiter limiter(RrlConfig{});
-  std::vector<RrlAction> out(7, RrlAction::kDrop);
-  limiter.check_batch(net::IPv4Addr(1, 1, 1, 1), net::SimTime(), out);
-  for (const RrlAction a : out) EXPECT_EQ(a, RrlAction::kSend);
-  EXPECT_EQ(limiter.sent(), 7u);
 }
 
 TEST(Rrl, SlipZeroDropsEverything) {
