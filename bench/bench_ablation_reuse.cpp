@@ -35,6 +35,8 @@ AblationResult run(const bench::BenchOptions& opts, bool reuse) {
                           scan_cfg, internet.scheme());
   scanner.set_rotate_callback(
       [&](std::uint32_t c) { internet.auth().load_cluster(c); });
+  scanner.set_advance_callback(
+      [&internet](std::uint64_t end) { internet.build_hosts_below(end); });
   scanner.start([] {});
   internet.loop().run();
 

@@ -38,6 +38,8 @@ int main(int argc, char** argv) {
                           scan_cfg, internet.scheme());
   scanner.set_rotate_callback(
       [&](std::uint32_t c) { internet.auth().load_cluster(c); });
+  scanner.set_advance_callback(
+      [&internet](std::uint64_t end) { internet.build_hosts_below(end); });
 
   // ---- Prober-only view (each R2 as it arrives) -------------------------------
   std::uint64_t ra_open = 0;        // RA=1 responses: the flag-only estimate

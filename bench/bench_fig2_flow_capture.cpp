@@ -38,6 +38,8 @@ int main(int argc, char** argv) {
                           scan_cfg, internet.scheme());
   scanner.set_rotate_callback(
       [&](std::uint32_t c) { internet.auth().load_cluster(c); });
+  scanner.set_advance_callback(
+      [&internet](std::uint64_t end) { internet.build_hosts_below(end); });
 
   // Group all four packet kinds by qname (the §III-B matching method): the
   // R2s open their flows as they arrive, the auth-side Q2/R1 captures are

@@ -11,9 +11,10 @@
 // every scale in one process would let the largest set the high-water mark
 // for all.
 //
-// --ci [path]: one streaming run at scale 256, JSON to `path` (default
-// BENCH_analysis.ci.json) — the pre-merge gate's memory-ceiling probe,
-// which writes it into its build tree (see scripts/check_all.sh).
+// --ci [path [year scale]]: one streaming run (default 2018 at scale 256),
+// JSON to `path` (default BENCH_analysis.ci.json) — the pre-merge gate's
+// memory probes, which write it into its build tree (see
+// scripts/check_all.sh).
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -21,6 +22,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -48,7 +50,7 @@ struct RunResult {
   bool ok = false;
 };
 
-RunResult run_forked(std::uint64_t scale) {
+RunResult run_forked(int year, std::uint64_t scale) {
   RunResult result;
   int fds[2];
   if (pipe(fds) != 0) return result;
@@ -65,7 +67,8 @@ RunResult run_forked(std::uint64_t scale) {
     cfg.seed = 42;
     cfg.threads = 1;
     const auto t0 = std::chrono::steady_clock::now();
-    const core::ScanOutcome o = core::run_measurement(core::paper_2018(), cfg);
+    const core::ScanOutcome o = core::run_measurement(
+        year == 2013 ? core::paper_2013() : core::paper_2018(), cfg);
     const auto t1 = std::chrono::steady_clock::now();
     ChildReport r;
     r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
@@ -101,7 +104,7 @@ RunResult run_forked(std::uint64_t scale) {
 RunResult best_of(std::uint64_t scale, int runs) {
   RunResult best;
   for (int i = 0; i < runs; ++i) {
-    const RunResult r = run_forked(scale);
+    const RunResult r = run_forked(2018, scale);
     if (!r.ok) continue;
     if (!best.ok || r.report.wall_seconds < best.report.wall_seconds)
       best.report = r.report;
@@ -125,10 +128,10 @@ bool emit_json(const char* path, const std::string& json) {
   return ok && closed;
 }
 
-/// CI probe: one streaming campaign at scale 256, minimal JSON. The gate
-/// reads peak_rss_kb and enforces the memory ceiling.
-int run_ci(const char* path) {
-  const RunResult r = run_forked(256);
+/// CI probe: one streaming campaign, minimal JSON. The gate reads
+/// peak_rss_kb and enforces its memory ceiling.
+int run_ci(const char* path, int year, std::uint64_t scale) {
+  const RunResult r = run_forked(year, scale);
   if (!r.ok) {
     std::fprintf(stderr, "bench_micro_analysis: ci campaign failed\n");
     return 1;
@@ -136,14 +139,17 @@ int run_ci(const char* path) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "{\n  \"bench\": \"analysis_streaming_ci\",\n"
-                "  \"scale\": 256,\n  \"mode\": \"streaming\",\n"
+                "  \"year\": %d,\n  \"scale\": %llu,\n"
+                "  \"mode\": \"streaming\",\n"
                 "  \"wall_seconds\": %.3f,\n  \"peak_rss_kb\": %ld,\n"
                 "  \"analysis_bytes\": %llu,\n  \"r2\": %llu\n}\n",
+                year, static_cast<unsigned long long>(scale),
                 r.report.wall_seconds, r.peak_rss_kb,
                 static_cast<unsigned long long>(r.report.analysis_bytes),
                 static_cast<unsigned long long>(r.report.r2));
-  std::printf("ci: scale=256 streaming  wall=%.3fs  peak_rss=%ld KB  "
+  std::printf("ci: %d scale=%llu streaming  wall=%.3fs  peak_rss=%ld KB  "
               "analysis_bytes=%llu\n",
+              year, static_cast<unsigned long long>(scale),
               r.report.wall_seconds, r.peak_rss_kb,
               static_cast<unsigned long long>(r.report.analysis_bytes));
   return emit_json(path, buf) ? 0 : 1;
@@ -199,8 +205,18 @@ int run_full(const char* path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i)
-    if (std::string(argv[i]) == "--ci")
-      return run_ci(i + 1 < argc ? argv[i + 1] : "BENCH_analysis.ci.json");
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) != "--ci") continue;
+    const char* path = i + 1 < argc ? argv[i + 1] : "BENCH_analysis.ci.json";
+    const int year = i + 2 < argc ? std::atoi(argv[i + 2]) : 2018;
+    const std::uint64_t scale =
+        i + 3 < argc ? std::strtoull(argv[i + 3], nullptr, 10) : 256;
+    if ((year != 2013 && year != 2018) || scale == 0) {
+      std::fprintf(stderr, "usage: %s --ci [path [2013|2018 scale]]\n",
+                   argv[0]);
+      return 2;
+    }
+    return run_ci(path, year, scale);
+  }
   return run_full("BENCH_analysis.json");
 }

@@ -46,17 +46,27 @@ std::atomic<std::uint64_t> g_alloc_count{0};
 std::atomic<bool> g_counting{false};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// The replacements stay out of line. Inlined into a container, a malloc
+// behind operator new meeting a free behind operator delete (or the other
+// way round) looks to GCC like mismatched allocation functions
+// (-Wmismatched-new-delete), though the pair is consistent.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed))
     g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 

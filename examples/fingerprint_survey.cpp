@@ -40,6 +40,10 @@ int main(int argc, char** argv) {
                           scan_cfg, internet.scheme());
   scanner.set_rotate_callback(
       [&internet](std::uint32_t c) { internet.auth().load_cluster(c); });
+  // Hosts are built as the scan reaches them and never retired: wave 2
+  // below queries every responder again after the scan.
+  scanner.set_advance_callback(
+      [&internet](std::uint64_t end) { internet.build_hosts_below(end); });
   std::vector<net::IPv4Addr> responders;  // in R2 arrival order
   scanner.set_r2_callback(
       [&responders](net::SimTime, net::IPv4Addr resolver,

@@ -48,6 +48,8 @@ int main(int argc, char** argv) {
                           scan_cfg, internet.scheme());
   scanner.set_rotate_callback(
       [&](std::uint32_t c) { internet.auth().load_cluster(c); });
+  scanner.set_advance_callback(
+      [&internet](std::uint64_t end) { internet.build_hosts_below(end); });
 
   // Every R2 opens its flow as it arrives; the manipulated ones are kept
   // for the evidence pass once the auth-side captures are in.

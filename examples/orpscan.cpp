@@ -128,6 +128,8 @@ Export export_scan(const core::PaperYear& year, const Options& opts) {
                           scan_cfg, internet.scheme());
   scanner.set_rotate_callback(
       [&internet](std::uint32_t c) { internet.auth().load_cluster(c); });
+  scanner.set_advance_callback(
+      [&internet](std::uint64_t end) { internet.build_hosts_below(end); });
 
   Export out;
   const bool csv = !opts.csv_path.empty();

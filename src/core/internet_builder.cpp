@@ -1,5 +1,6 @@
 #include "core/internet_builder.h"
 
+#include <algorithm>
 #include <map>
 #include <stdexcept>
 #include <tuple>
@@ -17,6 +18,23 @@ const dns::DnsName& measurement_sld() {
       dns::DnsName::must_parse("ucfsealresearch.net");
   return sld;
 }
+
+// Hashes the fields that tell the population's profiles apart; equality
+// (the defaulted operator==) settles the rest.
+struct ProfileHash {
+  std::size_t operator()(const resolver::BehaviorProfile& p) const noexcept {
+    std::uint64_t h = util::mix64(
+        (std::uint64_t{p.fixed_answer.value()} << 32) |
+        (static_cast<std::uint64_t>(p.answer) << 24) |
+        (static_cast<std::uint64_t>(p.rcode) << 16) |
+        (std::uint64_t{p.respond} << 7) | (std::uint64_t{p.ra} << 6) |
+        (std::uint64_t{p.aa} << 5) | (std::uint64_t{p.omit_question} << 4) |
+        (std::uint64_t{p.forwarder} << 3) | (std::uint64_t{p.dnssec_ok} << 2) |
+        (static_cast<std::uint64_t>(p.backend_fan) & 3));
+    h ^= std::hash<std::string>{}(p.text_answer);
+    return util::mix64(h ^ std::hash<std::string>{}(p.version));
+  }
+};
 
 // Infrastructure addresses (mirroring the paper's setup: the authoritative
 // server on a public cloud, the prober in the university network).
@@ -81,27 +99,39 @@ InternetPlan plan_internet(const PopulationSpec& spec,
   for (std::size_t h = 0; h < spec.hosts.size(); ++h)
     if (spec.hosts[h].upstream_candidate) upstreams.push_back(drawn[h].addr);
 
+  // Intern the profiles: a campaign has far fewer distinct behaviors than
+  // hosts, and a PlannedHost names its behavior by index.
+  std::unordered_map<resolver::BehaviorProfile, std::uint32_t, ProfileHash>
+      interned;
+  const auto intern = [&](const resolver::BehaviorProfile& p) {
+    const auto [it, added] = interned.try_emplace(
+        p, static_cast<std::uint32_t>(plan.profiles.size()));
+    if (added) plan.profiles.push_back(p);
+    return it->second;
+  };
+
   plan.hosts.reserve(spec.hosts.size());
   for (std::size_t h = 0; h < spec.hosts.size(); ++h) {
     const HostSpec& hs = spec.hosts[h];
     PlannedHost ph;
-    ph.spec_index = h;
     ph.perm_index = drawn[h].index;
     ph.addr = drawn[h].addr;
-    ph.profile = hs.profile;
-    if (ph.profile.forwarder) {
-      if (upstreams.empty()) {
-        ph.profile.forwarder = false;  // degenerate tiny population
-      } else {
-        ph.profile.upstream = upstreams[rng.bounded(upstreams.size())];
-        if (ph.profile.upstream == ph.addr && upstreams.size() > 1)
-          ph.profile.upstream = upstreams[(rng.bounded(upstreams.size() - 1))];
+    if (hs.profile.forwarder && upstreams.empty()) {
+      resolver::BehaviorProfile demoted = hs.profile;
+      demoted.forwarder = false;  // degenerate tiny population
+      ph.profile_id = intern(demoted);
+    } else {
+      ph.profile_id = intern(hs.profile);
+      if (hs.profile.forwarder) {
+        ph.upstream = upstreams[rng.bounded(upstreams.size())];
+        if (ph.upstream == ph.addr && upstreams.size() > 1)
+          ph.upstream = upstreams[(rng.bounded(upstreams.size() - 1))];
       }
     }
     ph.engine_seed = rng.fork(h)();
     if (!hs.country.empty())
       ph.geo_asn = 64500 + static_cast<std::uint32_t>(rng.bounded(1000));
-    plan.hosts.push_back(std::move(ph));
+    plan.hosts.push_back(ph);
   }
   return plan;
 }
@@ -110,8 +140,9 @@ IntelBundle build_intel(const PopulationSpec& spec, const InternetPlan& plan,
                         net::IPv4Addr auth_addr) {
   IntelBundle intel;
   // Geo registration: malicious resolvers carry their calibrated country.
-  for (const PlannedHost& ph : plan.hosts) {
-    const HostSpec& hs = spec.hosts[ph.spec_index];
+  for (std::size_t h = 0; h < plan.hosts.size(); ++h) {
+    const PlannedHost& ph = plan.hosts[h];
+    const HostSpec& hs = spec.hosts[h];
     if (!hs.country.empty())
       intel.geo.add_range(ph.addr, ph.addr, hs.country, ph.geo_asn,
                           "AS-" + hs.country);
@@ -173,8 +204,22 @@ SimulatedInternet::SimulatedInternet(const PopulationSpec& spec,
       config.wire_templates);
 
   // Engine configuration for honest resolvers: real root hints.
-  resolver::EngineConfig engine_config;
-  engine_config.hints = hierarchy_.hints;
+  engine_config_.hints = hierarchy_.hints;
+
+  // Stream-transport shaping, applied to the profile table, so a host's
+  // shaped profile — and therefore its observable behavior — is independent
+  // of the shard layout and of whether it is built at construction or just
+  // in time. Forwarders keep their planned knobs: CPE proxies rarely listen
+  // on TCP, so their truncated answers stay terminal (no DoTCP escape hatch).
+  profiles_.reserve(plan.profiles.size());
+  for (resolver::BehaviorProfile p : plan.profiles) {
+    if (p.respond && !p.forwarder) {
+      if (config.udp_limit != 0) p.udp_limit = config.udp_limit;
+      if (config.tcp) p.tcp = true;
+    }
+    profiles_.push_back(std::move(p));
+  }
+  profile_templates_.assign(profiles_.size(), nullptr);
 
   // Response templates are a pure function of the profile's shaping fields
   // (everything that reaches the response bytes), so hosts sharing a shape
@@ -182,11 +227,14 @@ SimulatedInternet::SimulatedInternet(const PopulationSpec& spec,
   using ShapeKey = std::tuple<int, bool, bool, int, bool, std::uint32_t,
                               std::string>;
   std::map<ShapeKey, const resolver::ResponseTemplates*> tpl_cache;
-  const auto templates_for = [&](const resolver::BehaviorProfile& p)
-      -> const resolver::ResponseTemplates* {
+  std::vector<bool> derived(profiles_.size(), false);
+  const auto derive_templates = [&](std::uint32_t id) {
+    if (derived[id]) return;
+    derived[id] = true;
+    const resolver::BehaviorProfile& p = profiles_[id];
     if (!config.wire_templates || !p.respond || p.forwarder ||
         p.answer == resolver::AnswerMode::kRecursive)
-      return nullptr;
+      return;
     const ShapeKey key{static_cast<int>(p.answer), p.ra, p.aa,
                        static_cast<int>(p.rcode), p.omit_question,
                        p.fixed_answer.value(), p.text_answer};
@@ -202,60 +250,124 @@ SimulatedInternet::SimulatedInternet(const PopulationSpec& spec,
                   codec_scratch_)));
       it = tpl_cache.emplace(key, response_templates_.back().get()).first;
     }
-    return it->second;
+    profile_templates_[id] = it->second;
   };
 
-  // Stream-transport shaping: applied identically in both plant loops below
-  // (owned hosts and upstream replicas), so a host's shaped profile — and
-  // therefore its observable behavior — is independent of the shard layout.
-  // Forwarders keep their planned knobs: CPE proxies rarely listen on TCP,
-  // so their truncated answers stay terminal (no DoTCP escape hatch).
-  const auto shaped = [&config](resolver::BehaviorProfile p) {
-    if (p.respond && !p.forwarder) {
-      if (config.udp_limit != 0) p.udp_limit = config.udp_limit;
-      if (config.tcp) p.tcp = true;
-    }
-    return p;
-  };
-
-  // ---- Plant this shard's slice of the planned population -----------------
+  // ---- This shard's slice of the planned population -----------------------
   const ShardSlice slice = shard_slice(spec.raw_steps, shard_id, shard_count);
-  std::unordered_set<std::uint32_t> planted;
-  hosts_.reserve(shard_count == 1 ? plan.hosts.size()
-                                  : plan.hosts.size() / shard_count + 8);
+  std::vector<PlannedHost> mine;
+  mine.reserve(shard_count == 1 ? plan.hosts.size()
+                                : plan.hosts.size() / shard_count + 8);
   for (const PlannedHost& ph : plan.hosts) {
     if (shard_count > 1 && !slice.contains(ph.perm_index)) continue;
-    const resolver::BehaviorProfile profile = shaped(ph.profile);
-    hosts_.push_back(std::make_unique<resolver::ResolverHost>(
-        *network_, ph.addr, profile, engine_config, ph.engine_seed,
-        &codec_scratch_, templates_for(profile)));
-    planted.insert(ph.addr.value());
+    mine.push_back(ph);
+    derive_templates(ph.profile_id);
   }
 
-  // Replicate forwarder upstreams planted in other shards: a forwarder's
-  // observable behavior must not depend on where its upstream's permutation
-  // index landed. Upstreams are honest recursives whose responses are a
-  // pure function of (profile, seed), so a replica answers exactly as the
-  // home-shard original would. Replicas are never probed here.
-  if (shard_count > 1) {
-    std::unordered_set<std::uint32_t> needed;
-    for (const auto& host : hosts_) {
-      const resolver::BehaviorProfile& p = host->profile();
-      if (p.forwarder && !planted.contains(p.upstream.value()))
-        needed.insert(p.upstream.value());
-    }
+  // Resident hosts: what other hosts reach, and what may be contacted after
+  // its probe. Every upstream one of this shard's forwarders chose stays
+  // from construction to teardown, whether planted here or a replica of one
+  // planted in another shard (an upstream answers as a pure function of its
+  // profile and seed, so a replica answers exactly as the home-shard
+  // original would; replicas are never probed here). TCP listeners stay
+  // too: a scanner's DoTCP retry can reach one after it went quiescent.
+  std::unordered_set<std::uint32_t> upstreams;
+  for (const PlannedHost& ph : mine)
+    if (ph.upstream.value() != 0) upstreams.insert(ph.upstream.value());
+  for (const PlannedHost& ph : mine) {
+    const resolver::BehaviorProfile& p = profiles_[ph.profile_id];
+    const bool listens_tcp = p.tcp && p.respond && !p.forwarder;
+    if (upstreams.erase(ph.addr.value()) != 0 || listens_tcp)
+      resident_.push_back(make_host(ph));
+    else
+      jit_plan_.push_back(ph);
+  }
+  if (!upstreams.empty()) {
     for (const PlannedHost& ph : plan.hosts) {
-      if (!needed.contains(ph.addr.value())) continue;
-      const resolver::BehaviorProfile profile = shaped(ph.profile);
-      hosts_.push_back(std::make_unique<resolver::ResolverHost>(
-          *network_, ph.addr, profile, engine_config, ph.engine_seed,
-          &codec_scratch_, templates_for(profile)));
-      needed.erase(ph.addr.value());
+      if (upstreams.erase(ph.addr.value()) == 0) continue;
+      derive_templates(ph.profile_id);
+      resident_.push_back(make_host(ph));
     }
   }
+  std::sort(jit_plan_.begin(), jit_plan_.end(),
+            [](const PlannedHost& a, const PlannedHost& b) {
+              return a.perm_index < b.perm_index;
+            });
 
   // ---- Intel databases ----------------------------------------------------
   intel_ = build_intel(spec, plan, auth_addr_);
+}
+
+std::unique_ptr<resolver::ResolverHost> SimulatedInternet::make_host(
+    const PlannedHost& ph) {
+  resolver::BehaviorProfile profile = profiles_[ph.profile_id];
+  profile.upstream = ph.upstream;
+  ++built_;
+  return std::make_unique<resolver::ResolverHost>(
+      *network_, ph.addr, std::move(profile), engine_config_, ph.engine_seed,
+      &codec_scratch_, profile_templates_[ph.profile_id]);
+}
+
+void SimulatedInternet::build_hosts_below(std::uint64_t end_index) {
+  // A host's probe leaves in the batch that consumed its index, at this
+  // very sim time — the send time its retirement is measured from.
+  const net::SimTime now = loop_.now();
+  for (; next_jit_ < jit_plan_.size() &&
+         jit_plan_[next_jit_].perm_index < end_index;
+       ++next_jit_)
+    live_.push_back(LiveHost{now, make_host(jit_plan_[next_jit_])});
+  peak_live_ = std::max(peak_live_, live_host_count());
+}
+
+void SimulatedInternet::retire(std::unique_ptr<resolver::ResolverHost> host) {
+  retired_totals_.add(*host);
+  ++retired_count_;
+}
+
+void SimulatedInternet::retire_quiescent(net::SimTime probed_by) {
+  while (!live_.empty() && live_.front().probed_at <= probed_by) {
+    std::unique_ptr<resolver::ResolverHost> host =
+        std::move(live_.front().host);
+    live_.pop_front();
+    if (host->quiescent())
+      retire(std::move(host));
+    else
+      lingering_.push_back(std::move(host));
+  }
+  std::erase_if(lingering_,
+                [this](std::unique_ptr<resolver::ResolverHost>& host) {
+                  if (!host->quiescent()) return false;
+                  retire(std::move(host));
+                  return true;
+                });
+}
+
+void SimulatedInternet::ResolverTotals::add(
+    const resolver::ResolverHost& host) {
+  stats += host.stats();
+  if (const resolver::IterativeEngine* eng = host.engine()) {
+    cache_bypasses += eng->cache_bypasses();
+    upstream_queries += eng->upstream_queries();
+  }
+}
+
+SimulatedInternet::ResolverTotals SimulatedInternet::resolver_totals() const {
+  ResolverTotals t = retired_totals_;
+  for (const auto& host : resident_) t.add(*host);
+  for (const LiveHost& live : live_) t.add(*live.host);
+  for (const auto& host : lingering_) t.add(*host);
+  return t;
+}
+
+const resolver::ResolverHost* SimulatedInternet::find_host(
+    net::IPv4Addr addr) const {
+  for (const auto& host : resident_)
+    if (host->address() == addr) return host.get();
+  for (const LiveHost& live : live_)
+    if (live.host->address() == addr) return live.host.get();
+  for (const auto& host : lingering_)
+    if (host->address() == addr) return host.get();
+  return nullptr;
 }
 
 }  // namespace orp::core

@@ -8,7 +8,9 @@
 //
 //   plan_internet()      — every random choice (addresses, forwarder
 //                          upstreams, per-host seeds) made once, globally,
-//                          consuming the builder RNG in the legacy order;
+//                          consuming the builder RNG in the legacy order.
+//                          The plan is 32 B per host plus a table of the
+//                          campaign's distinct behavior profiles;
 //   SimulatedInternet    — a *shard instance*: its own EventLoop/Network/
 //                          hierarchy/auth, populated with the planned hosts
 //                          whose permutation index falls in its slice.
@@ -16,8 +18,20 @@
 // Because the plan is global, a host's address, profile, and seed are
 // independent of the shard count — shard (0, 1) reproduces the legacy
 // single-loop construction bit for bit.
+//
+// Hosts live just in time. Each planted host is probed exactly once, at its
+// permutation index, so a shard builds it when the scanner reaches that
+// index (build_hosts_below, wired to Scanner::set_advance_callback) and
+// destroys it once its response window has passed and nothing can call into
+// it any more (retire_quiescent, wired to Scanner::set_reap_callback).
+// What other hosts reach — forwarder upstreams — and what a scanner may
+// contact again after the probe — TCP listeners — stay resident from
+// construction to teardown. Building a host binds its endpoint and nothing
+// else (no event, no RNG draw), so the campaign is bit-identical to one
+// with every host built up front; DESIGN.md "Host lifecycle" gives the rule.
 #pragma once
 
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -66,19 +80,28 @@ struct InternetConfig {
   bool tcp = false;
 };
 
-/// One planted host, fully resolved: every random draw already made.
+/// One planted host, fully resolved: every random draw already made. Its
+/// behavior is `InternetPlan::profiles[profile_id]` with `upstream` filled
+/// in.
 struct PlannedHost {
-  std::size_t spec_index = 0;    // into PopulationSpec::hosts
   std::uint64_t perm_index = 0;  // global permutation index of its address
-  net::IPv4Addr addr;
-  resolver::BehaviorProfile profile;  // forwarder upstream already chosen
   std::uint64_t engine_seed = 0;
-  std::uint32_t geo_asn = 0;  // 0 = no geo registration (no country)
+  net::IPv4Addr addr;
+  /// The forwarding target; 0 for every non-forwarder, including a
+  /// forwarder demoted because the population has no upstream candidate.
+  net::IPv4Addr upstream;
+  std::uint32_t geo_asn = 0;     // 0 = no geo registration (no country)
+  std::uint32_t profile_id = 0;  // into InternetPlan::profiles
 };
+static_assert(sizeof(PlannedHost) <= 32);
 
 /// The global planting plan shared by every shard of one campaign.
 struct InternetPlan {
   prober::PermutationParams scan_params;
+  /// The campaign's distinct behavior profiles, interned once. None carries
+  /// an upstream: that is per host (PlannedHost::upstream).
+  std::vector<resolver::BehaviorProfile> profiles;
+  /// hosts[h] plants PopulationSpec::hosts[h].
   std::vector<PlannedHost> hosts;
 };
 
@@ -138,7 +161,8 @@ class SimulatedInternet {
   /// other shards (an upstream's behavior is a pure function of its profile
   /// and seed, so replicating it preserves every forwarder's observable
   /// behavior; replicas are never probed here — their permutation index
-  /// belongs to their home shard).
+  /// belongs to their home shard). The instance copies what it needs of
+  /// `spec` and `plan` and keeps no reference to either.
   SimulatedInternet(const PopulationSpec& spec, const InternetConfig& config,
                     const InternetPlan& plan, std::uint32_t shard_id,
                     std::uint32_t shard_count);
@@ -166,12 +190,45 @@ class SimulatedInternet {
   /// and the shard's scanner can encode through a single reusable buffer.
   dns::EncodeBuffer& codec_scratch() noexcept { return codec_scratch_; }
 
-  /// Planted hosts this shard owns + upstream replicas (replicas last).
-  std::size_t host_count() const noexcept { return hosts_.size(); }
-  const std::vector<std::unique_ptr<resolver::ResolverHost>>& hosts()
-      const noexcept {
-    return hosts_;
+  /// Build every host of this shard's slice whose permutation index is
+  /// below `end_index` and that is not built yet. The scanner calls it once
+  /// per send batch, before the batch reaches the network, with the index
+  /// one past the last raw step consumed (Scanner::set_advance_callback),
+  /// so each host is bound before its probe is sent. A shard whose scanner
+  /// is not wired to it has no probe-able hosts.
+  void build_hosts_below(std::uint64_t end_index);
+
+  /// Destroy every just-in-time host whose probe went out at or before
+  /// `probed_by` and that is quiescent (ResolverHost::quiescent), banking
+  /// its counters into resolver_totals(). A host that is due but still busy
+  /// is checked again on the next call. ShardContext calls this at every
+  /// reap tick with the scanner's expired-probe cutoff; a driver that sends
+  /// to hosts again after their probe must not call it.
+  void retire_quiescent(net::SimTime probed_by);
+
+  /// Counters summed over every host this shard built, live or retired.
+  struct ResolverTotals {
+    resolver::HostStats stats;
+    std::uint64_t cache_bypasses = 0;
+    std::uint64_t upstream_queries = 0;
+    void add(const resolver::ResolverHost& host);
+  };
+  ResolverTotals resolver_totals() const;
+
+  /// Hosts built so far, resident ones included; each is built once.
+  std::size_t hosts_built() const noexcept { return built_; }
+  /// Hosts built at construction and kept to teardown: forwarder upstreams
+  /// (planted here or replicated) and TCP listeners.
+  std::size_t resident_host_count() const noexcept { return resident_.size(); }
+  /// Just-in-time hosts built and not yet retired, now and at the peak.
+  std::size_t live_host_count() const noexcept {
+    return live_.size() + lingering_.size();
   }
+  std::size_t peak_live_hosts() const noexcept { return peak_live_; }
+  std::size_t hosts_retired() const noexcept { return retired_count_; }
+  /// The built, not retired host at `addr`, or null. A linear scan, meant
+  /// for tests and diagnostics.
+  const resolver::ResolverHost* find_host(net::IPv4Addr addr) const;
 
   /// Distinct response-template sets derived for this shard's population
   /// (one per fabricating-profile shaping key, shared across its hosts).
@@ -180,16 +237,42 @@ class SimulatedInternet {
   }
 
  private:
+  std::unique_ptr<resolver::ResolverHost> make_host(const PlannedHost& ph);
+  void retire(std::unique_ptr<resolver::ResolverHost> host);
+
   net::EventLoop loop_;
   std::unique_ptr<net::Network> network_;
   resolver::SimHierarchy hierarchy_;
   std::unique_ptr<zone::SubdomainScheme> scheme_;
-  dns::EncodeBuffer codec_scratch_;  // before auth_/hosts_: they hold a ref
+  dns::EncodeBuffer codec_scratch_;  // before auth_/hosts: they hold a ref
   std::unique_ptr<authns::AuthServer> auth_;
-  // Shared per-profile-shape template sets; before hosts_ (hosts hold
+  // Shared per-profile-shape template sets; before the hosts (they hold
   // non-owning pointers into these).
   std::vector<std::unique_ptr<resolver::ResponseTemplates>> response_templates_;
-  std::vector<std::unique_ptr<resolver::ResolverHost>> hosts_;
+  // The campaign's profiles, shaped for this instance, and the template set
+  // each one stamps from (null where the fast path does not apply). Every
+  // template is derived at construction: deriving one mid-scan would
+  // overwrite the shared codec scratch under a live encode.
+  std::vector<resolver::BehaviorProfile> profiles_;
+  std::vector<const resolver::ResponseTemplates*> profile_templates_;
+  resolver::EngineConfig engine_config_;
+  std::vector<std::unique_ptr<resolver::ResolverHost>> resident_;
+  // This shard's just-in-time hosts, sorted by permutation index; the ones
+  // from next_jit_ on are not built yet.
+  std::vector<PlannedHost> jit_plan_;
+  std::size_t next_jit_ = 0;
+  // Built just-in-time hosts in probe order, each with its probe's send
+  // time, and the ones past their window that were still busy.
+  struct LiveHost {
+    net::SimTime probed_at;
+    std::unique_ptr<resolver::ResolverHost> host;
+  };
+  std::deque<LiveHost> live_;
+  std::vector<std::unique_ptr<resolver::ResolverHost>> lingering_;
+  ResolverTotals retired_totals_;
+  std::size_t built_ = 0;
+  std::size_t retired_count_ = 0;
+  std::size_t peak_live_ = 0;
   IntelBundle intel_;
   net::IPv4Addr prober_addr_;
   net::IPv4Addr auth_addr_;

@@ -46,6 +46,15 @@ ShardContext::ShardContext(const PopulationSpec& spec,
   scanner_.set_rotate_callback([this](std::uint32_t cluster) {
     internet_.auth().load_cluster(cluster);
   });
+  // Just-in-time hosts: each send batch builds the hosts its probes target,
+  // and each reap tick retires the ones whose window has passed and that
+  // nothing can call into any more.
+  scanner_.set_advance_callback([this](std::uint64_t end_index) {
+    internet_.build_hosts_below(end_index);
+  });
+  scanner_.set_reap_callback([this](net::SimTime probed_by) {
+    internet_.retire_quiescent(probed_by);
+  });
   // Capture-time classification: the shard's IntelBundle is built from
   // campaign-global inputs only (see internet_builder.cpp), so per-shard
   // lookups agree with the campaign-level finalize.
@@ -126,22 +135,19 @@ void ShardContext::collect_metrics() {
   m.add(b.rate_tokens_granted, scanner_.limiter().granted());
   m.add(b.rate_deferred, scanner_.limiter().deferred());
 
-  for (const auto& host : internet_.hosts()) {
-    const resolver::HostStats& hs = host->stats();
-    m.add(b.resolver_queries, hs.queries);
-    m.add(b.resolver_responses, hs.responses);
-    m.add(b.resolver_recursions, hs.recursions);
-    m.add(b.resolver_forwarded, hs.forwarded);
-    m.add(b.resolver_truncated, hs.truncated);
-    m.add(b.resolver_rrl_dropped, hs.rrl_dropped);
-    m.add(b.resolver_rrl_slipped, hs.rrl_slipped);
-    m.add(b.resolver_template_stamped, hs.template_stamped);
-    m.add(b.resolver_template_fallback, hs.template_fallback);
-    if (const resolver::IterativeEngine* eng = host->engine()) {
-      m.add(b.resolver_cache_bypass, eng->cache_bypasses());
-      m.add(b.resolver_upstream_queries, eng->upstream_queries());
-    }
-  }
+  // Live and retired hosts alike: a retired host's counters were banked.
+  const SimulatedInternet::ResolverTotals r = internet_.resolver_totals();
+  m.add(b.resolver_queries, r.stats.queries);
+  m.add(b.resolver_responses, r.stats.responses);
+  m.add(b.resolver_recursions, r.stats.recursions);
+  m.add(b.resolver_forwarded, r.stats.forwarded);
+  m.add(b.resolver_truncated, r.stats.truncated);
+  m.add(b.resolver_rrl_dropped, r.stats.rrl_dropped);
+  m.add(b.resolver_rrl_slipped, r.stats.rrl_slipped);
+  m.add(b.resolver_template_stamped, r.stats.template_stamped);
+  m.add(b.resolver_template_fallback, r.stats.template_fallback);
+  m.add(b.resolver_cache_bypass, r.cache_bypasses);
+  m.add(b.resolver_upstream_queries, r.upstream_queries);
 
   const authns::AuthStats& a = internet_.auth().stats();
   m.add(b.auth_q2_received, a.queries_received);

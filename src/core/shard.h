@@ -14,6 +14,13 @@
 // The shard's StreamingAnalyzer hangs off the scanner's R2 callback, so every
 // R2 is classified at capture time into the shard's PartialTables and no
 // response payload is kept: O(1) shard memory instead of O(responses).
+//
+// The slice's resolver hosts live just in time: the scanner's advance hook
+// builds each one before the send batch that probes it, and its reap hook
+// retires every host whose response window has passed and that nothing can
+// call into any more (SimulatedInternet::build_hosts_below /
+// retire_quiescent). Only forwarder upstreams and TCP listeners stay for
+// the whole run, so host memory follows the flows in flight, not the slice.
 #pragma once
 
 #include <cstdint>

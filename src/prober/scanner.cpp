@@ -88,6 +88,7 @@ void Scanner::send_batch() {
       break;
     }
   }
+  if (on_advance_) on_advance_(config_.first_index + raw_consumed_);
   flush_pending();
   if (rotated && on_rotate_) on_rotate_(rotated_to);
 
@@ -393,6 +394,7 @@ void Scanner::reap(bool final_sweep) {
                       ++stats_.timeouts_reaped;
                     });
   if (final_sweep) final_swept_ = true;
+  if (on_reap_) on_reap_(now - config_.response_timeout);
   if (!sending_done_) {
     network_.loop().schedule_in(config_.reap_interval,
                                 [this]() { reap(false); });

@@ -134,6 +134,19 @@ class Scanner : private net::StreamHandler {
       net::SimTime time, net::IPv4Addr resolver,
       std::span<const std::uint8_t> payload)>;
 
+  /// Invoked once per send batch, after its raw steps are consumed and
+  /// before its probes are handed to the network, with the global
+  /// permutation index one past the last step consumed. A just-in-time
+  /// internet builds the hosts those probes target here
+  /// (SimulatedInternet::build_hosts_below). It must not schedule events or
+  /// draw network RNG.
+  using AdvanceCallback = std::function<void(std::uint64_t end_index)>;
+  /// Invoked at the end of every reap sweep with its cutoff: every probe
+  /// sent at or before `probed_by` has had its full response window.
+  /// ShardContext retires quiescent hosts here
+  /// (SimulatedInternet::retire_quiescent).
+  using ReapCallback = std::function<void(net::SimTime probed_by)>;
+
   /// `codec_scratch`, when given, is the per-shard encode buffer probes are
   /// built in (shards are single-threaded, so sharing it is race-free); the
   /// scanner falls back to an owned buffer otherwise.
@@ -145,6 +158,8 @@ class Scanner : private net::StreamHandler {
   /// The scanner keeps no response payloads; whoever needs them (tables,
   /// CSV/pcap export, tests) takes them here, in arrival order.
   void set_r2_callback(R2Callback cb) { on_r2_ = std::move(cb); }
+  void set_advance_callback(AdvanceCallback cb) { on_advance_ = std::move(cb); }
+  void set_reap_callback(ReapCallback cb) { on_reap_ = std::move(cb); }
 
   /// Begin scanning; `done` fires after the last probe's response window.
   void start(DoneCallback done);
@@ -235,6 +250,8 @@ class Scanner : private net::StreamHandler {
   RateLimiter limiter_;
   RotateCallback on_rotate_;
   R2Callback on_r2_;
+  AdvanceCallback on_advance_;
+  ReapCallback on_reap_;
   DoneCallback done_;
 
   // Packed ids of sent probes in send order; the reap sweep pops expired

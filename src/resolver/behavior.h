@@ -90,6 +90,9 @@ struct BehaviorProfile {
   /// listen on TCP, which is exactly what makes their truncated answers
   /// terminal.
   bool tcp = false;
+
+  friend bool operator==(const BehaviorProfile&,
+                         const BehaviorProfile&) = default;
 };
 
 }  // namespace orp::resolver

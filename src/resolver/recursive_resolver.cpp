@@ -78,6 +78,7 @@ void IterativeEngine::resolve(const dns::DnsName& qname, dns::RRType qtype,
   res->port = next_port_++;
   if (next_port_ >= 60000) next_port_ = 20000;
   auto self = res;
+  ++in_flight_;
   network_.bind(net::Endpoint{host_, res->port},
                 [this, self](const net::Datagram& d) { on_response(self, d); });
 
@@ -110,7 +111,9 @@ void IterativeEngine::send_query(std::shared_ptr<Resolution> res,
                               net::Endpoint{server, net::kDnsPort},
                               dns::encode(q)});
   const std::uint64_t attempt = ++res->attempt_id;
+  ++in_flight_;
   network_.loop().schedule_in(config_.query_timeout, [this, res, attempt]() {
+    --in_flight_;
     on_timeout(res, attempt);
   });
 }
@@ -241,7 +244,10 @@ void IterativeEngine::finish(std::shared_ptr<Resolution> res,
                              ResolutionOutcome outcome) {
   if (res->finished) return;
   res->finished = true;
-  if (res->port != 0) network_.unbind(net::Endpoint{host_, res->port});
+  if (res->port != 0) {
+    network_.unbind(net::Endpoint{host_, res->port});
+    --in_flight_;
+  }
   res->done(outcome);
 }
 

@@ -70,6 +70,10 @@ class IterativeEngine {
   /// — for probe qnames this *confirms* the §III-B design goal that every
   /// unique subdomain bypasses resolver caches.
   std::uint64_t cache_bypasses() const noexcept { return cache_bypasses_; }
+  /// Ephemeral ports bound plus timeout events scheduled and not yet fired:
+  /// everything that can still call into this engine. Zero means the engine
+  /// can be destroyed without leaving a dangling callback behind.
+  std::size_t in_flight() const noexcept { return in_flight_; }
 
  private:
   struct Resolution;
@@ -90,6 +94,7 @@ class IterativeEngine {
   std::uint64_t truncated_seen_ = 0;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_bypasses_ = 0;
+  std::size_t in_flight_ = 0;
 };
 
 }  // namespace orp::resolver

@@ -24,6 +24,8 @@ struct RrlConfig {
   /// Every `slip`-th suppressed response is sent as an empty TC=1 reply
   /// (slip=0 drops everything; slip=1 slips everything).
   int slip = 2;
+
+  friend bool operator==(const RrlConfig&, const RrlConfig&) = default;
 };
 
 enum class RrlAction {

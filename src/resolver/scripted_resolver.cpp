@@ -235,9 +235,11 @@ void ResolverHost::fast_respond(const dns::StampVars& v, net::Endpoint client) {
   // carry only the ref. Truncation is statically a no-op (templates are
   // only usable when both response shapes fit the 512-byte budget).
   net::PayloadRef payload = network_.pool().acquire(wire);
+  ++in_flight_;
   network_.loop().schedule_in(
       profile_.response_delay,
       [this, client, payload = std::move(payload)]() mutable {
+        --in_flight_;
         network_.send(net::Datagram{net::Endpoint{addr_, net::kDnsPort},
                                     client, std::move(payload)});
       });
@@ -285,8 +287,10 @@ void ResolverHost::respond_forwarded(const dns::Message& query,
   const std::uint16_t port = next_port_++;
   if (next_port_ >= 20000) next_port_ = 10000;
   const net::Endpoint local{addr_, port};
+  ++in_flight_;
   network_.bind(local, [this, query, client, local](const net::Datagram& d) {
     network_.unbind(local);
+    --in_flight_;
     const auto upstream_response = dns::decode(d.payload);
     if (!upstream_response) return;
     dns::Message response = dns::make_response(query);
@@ -315,9 +319,11 @@ void ResolverHost::emit(dns::Message response, ReplyTo to, bool raw_counts,
         raw_counts ? dns::encode_raw_counts_into(response, codec_scratch_)
                    : dns::encode_into(response, codec_scratch_);
     net::PayloadRef payload = network_.pool().acquire(wire);
+    ++in_flight_;
     network_.loop().schedule_in(
         profile_.response_delay,
         [this, conn = to.conn, payload = std::move(payload)]() {
+          --in_flight_;
           // A client that closed or reset while we worked makes this a
           // validated no-op inside the stream layer.
           network_.streams().send_message(conn, payload.span());
@@ -366,9 +372,11 @@ void ResolverHost::emit(dns::Message response, ReplyTo to, bool raw_counts,
   // Acquire the pooled buffer now (while the scratch bytes are live) and let
   // the delayed event carry only the ref — no payload copy at fire time.
   net::PayloadRef payload = network_.pool().acquire(wire);
+  ++in_flight_;
   network_.loop().schedule_in(
       profile_.response_delay,
       [this, client = to.client, payload = std::move(payload)]() mutable {
+        --in_flight_;
         network_.send(net::Datagram{net::Endpoint{addr_, net::kDnsPort},
                                     client, std::move(payload)});
       });

@@ -25,6 +25,21 @@ struct HostStats {
   std::uint64_t template_fallback = 0;  // queries through the full path
   std::uint64_t tcp_queries = 0;    // queries arriving over a stream
   std::uint64_t tcp_responses = 0;  // responses served over a stream
+
+  HostStats& operator+=(const HostStats& o) noexcept {
+    queries += o.queries;
+    responses += o.responses;
+    recursions += o.recursions;
+    forwarded += o.forwarded;
+    truncated += o.truncated;
+    rrl_dropped += o.rrl_dropped;
+    rrl_slipped += o.rrl_slipped;
+    template_stamped += o.template_stamped;
+    template_fallback += o.template_fallback;
+    tcp_queries += o.tcp_queries;
+    tcp_responses += o.tcp_responses;
+    return *this;
+  }
 };
 
 /// Header stamping shared by every fabricating path and the template
@@ -99,6 +114,15 @@ class ResolverHost : private net::StreamHandler {
   /// The host's iterative engine, or null if this profile never recursed
   /// (the engine is instantiated lazily on first genuine recursion).
   const IterativeEngine* engine() const noexcept { return engine_.get(); }
+  /// True when nothing can call into this host but a new datagram to :53:
+  /// no scheduled response (emit, fast_respond) captures it, no forwarded
+  /// query holds an ephemeral port, and its engine (if any) has no bound
+  /// port and no pending timeout. A quiescent host can be destroyed without
+  /// leaving a dangling callback; a forwarder whose upstream reply was lost
+  /// keeps its port, so it never becomes quiescent.
+  bool quiescent() const noexcept {
+    return in_flight_ == 0 && (!engine_ || engine_->in_flight() == 0);
+  }
 
  private:
   void on_query(const net::Datagram& d);
@@ -134,6 +158,7 @@ class ResolverHost : private net::StreamHandler {
   ResponseRateLimiter rrl_;
   const ResponseTemplates* tpl_ = nullptr;
   HostStats stats_;
+  std::size_t in_flight_ = 0;  // scheduled responses + forwarded-query ports
 };
 
 }  // namespace orp::resolver

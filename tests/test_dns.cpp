@@ -569,7 +569,9 @@ TEST(Truncator, EveryBudgetYieldsADecodablePrefix) {
     ASSERT_LE(len, b) << b;
     const auto decoded = decode(std::span(wire.data(), len));
     ASSERT_TRUE(decoded.has_value()) << "budget " << b;
-    if (len < full.size()) EXPECT_TRUE(decoded->header.flags.tc) << b;
+    if (len < full.size()) {
+      EXPECT_TRUE(decoded->header.flags.tc) << b;
+    }
   }
 }
 

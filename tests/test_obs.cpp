@@ -381,18 +381,23 @@ TEST(ObsPipeline, TraceSamplerPicksTheSameFlowsAtAnyShardCount) {
 
 TEST(ObsPipeline, TracedFlowsTellACoherentStory) {
   const core::ScanOutcome& o = instrumented(2);
-  std::uint64_t q1 = 0, q2 = 0, r1 = 0, r2 = 0;
+  std::uint64_t q1 = 0, q2 = 0, r1 = 0, r2 = 0, tcp = 0;
   for (const TraceRecord& r : o.traces.records()) {
     switch (r.point) {
       case SpanPoint::kQ1Sent: ++q1; break;
       case SpanPoint::kQ2Auth: ++q2; break;
       case SpanPoint::kR1Sent: ++r1; break;
       case SpanPoint::kR2Received: ++r2; break;
+      case SpanPoint::kTcpRetry:
+      case SpanPoint::kTcpAnswer: ++tcp; break;
     }
   }
   EXPECT_GT(q1, 0u);
   EXPECT_GT(r2, 0u);
   EXPECT_EQ(q2, r1);  // the auth server answers everything it traces
+  // The instrumented campaign runs without DoTCP fallback, so no flow may
+  // carry a TCP span point.
+  EXPECT_EQ(tcp, 0u);
   // Within one flow, spans are time-ordered after the canonical sort: a
   // response can never precede the probe that caused it.
   const auto records = o.traces.records();
